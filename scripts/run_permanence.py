@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from shapestream.metrics import jaccard_values
-from shapestream.model import ModelConfig, forward_step
+from shapestream.model import ModelConfig, stream_predictions
 from shapestream.scenes import fully_occluded_frames, gen_object, make_sequence
 from shapestream.train import train
 
@@ -23,9 +23,8 @@ def occluded_jaccard(model, seqs) -> float:
     vals = []
     for seq in seqs:
         occluded = set(fully_occluded_frames(seq))
-        state = model.init_state()
-        for i, (frame, target) in enumerate(zip(seq.frames, seq.targets)):
-            pred, state = forward_step(model, state, frame)
+        preds = stream_predictions(model, seq.frames)
+        for i, (pred, target) in enumerate(zip(preds, seq.targets)):
             if i in occluded:
                 vals.append(jaccard_values(pred.values, target.values))
     return float(np.mean(vals))

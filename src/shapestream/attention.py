@@ -17,11 +17,21 @@ Two feature maps are supported:
                 with unit-Gaussian rows W, an unbiased estimator of
                 exp(q k^T).
 
+The same attention has two forms (Katharopoulos et al. 2020, "Transformers
+are RNNs", sec. 3.4). Streaming uses the recurrent form above
+(``memory_update`` / ``memory_query``). Training uses the parallel form over
+(L, dim) Tensors: the causal-masked weights phi(Q) phi(K)^T, normalized by
+their row sums (``causal_linear_attention_t``). The exact quadratic
+attention (``exact_causal_attention_t``) differs only in its weights,
+exp(Q K^T - rowmax) or the relu kernel; both Tensor forms share one mask,
+row-sum, fallback and normalize step. The numpy ``causal_linear_attention``
+and ``exact_causal_attention`` are the row-by-row references.
+
 Degenerate rows: with the relu map all attention weights for a row can be
-exactly zero. Both attention routines then fall back to the row's own value
-vector, keeping outputs finite and causal. ``memory_query`` applies the
-documented division guard EPS_DENOM unless an explicit ``fallback`` value is
-supplied, in which case it follows the same rule as the attention routines.
+exactly zero. One rule covers every form: a row whose total weight is at
+most EPS_DENOM returns the row's own value vector, keeping outputs finite
+and causal. ``memory_query`` applies the division guard EPS_DENOM instead
+unless an explicit ``fallback`` value is supplied.
 """
 
 from __future__ import annotations
@@ -51,7 +61,6 @@ class KernelFeatureMap:
     d_qk: int
     m: int
     seed: int = 0
-    orthogonal: bool = False
     projection: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -65,33 +74,24 @@ class KernelFeatureMap:
         else:
             if self.projection is None:
                 object.__setattr__(self, "projection", _draw_projection(
-                    self.m, self.d_qk, self.seed, self.orthogonal))
+                    self.m, self.d_qk, self.seed))
             elif self.projection.shape != (self.m, self.d_qk):
                 raise ValueError(
                     f"projection shape {self.projection.shape} != (m, d_qk) = ({self.m}, {self.d_qk})")
 
 
-def _draw_projection(m: int, d_qk: int, seed: int, orthogonal: bool) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal((m, d_qk))
-    if orthogonal:
-        # per-block QR orthogonalization, preserving each row's norm
-        for start in range(0, m, d_qk):
-            block = w[start : start + d_qk]
-            norms = np.linalg.norm(block, axis=1, keepdims=True)
-            q, _ = np.linalg.qr(block.T)
-            w[start : start + d_qk] = q.T[: block.shape[0]] * norms
-    return w
+def _draw_projection(m: int, d_qk: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal((m, d_qk))
 
 
-def feature_map(kind: str, d_qk: int, m: int | None = None, seed: int = 0,
-                orthogonal: bool = False) -> KernelFeatureMap:
+def feature_map(kind: str, d_qk: int, m: int | None = None, seed: int = 0
+                ) -> KernelFeatureMap:
     """Build a feature map; regenerating with the same seed is exact."""
     if kind == "relu":
         return KernelFeatureMap(kind="relu", d_qk=d_qk, m=d_qk)
     if m is None:
         raise ValueError("softmax feature map requires a feature count m")
-    return KernelFeatureMap(kind="softmax", d_qk=d_qk, m=m, seed=seed, orthogonal=orthogonal)
+    return KernelFeatureMap(kind="softmax", d_qk=d_qk, m=m, seed=seed)
 
 
 def feature_map_apply(fmap: KernelFeatureMap, x: np.ndarray) -> np.ndarray:
@@ -109,12 +109,12 @@ def feature_map_apply(fmap: KernelFeatureMap, x: np.ndarray) -> np.ndarray:
 
 
 def feature_map_apply_t(fmap: KernelFeatureMap, x: Tensor) -> Tensor:
-    """Differentiable phi for a row tensor of shape (1, d_qk)."""
+    """Differentiable phi for a row tensor of shape (L, d_qk); output (L, m)."""
     if fmap.kind == "relu":
         return x.relu()
     w = Tensor(fmap.projection)
-    proj = x @ w.T                                   # (1, m)
-    sq = (x * x).sum(axis=1, keepdims=True) * 0.5    # (1, 1)
+    proj = x @ w.T                                   # (L, m)
+    sq = (x * x).sum(axis=1, keepdims=True) * 0.5    # (L, 1)
     return (proj - sq).exp() * (1.0 / np.sqrt(fmap.m))
 
 
@@ -232,54 +232,58 @@ def exact_causal_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# differentiable per-step counterparts (used by the sequence model)
+# differentiable parallel forms (used by the sequence model)
 # ---------------------------------------------------------------------------
 
 
-def causal_linear_attention_t(qs: list[Tensor], ks: list[Tensor], vs: list[Tensor],
-                              fmap: KernelFeatureMap) -> list[Tensor]:
-    """Gradient-tracked linear attention over per-frame (1, dim) rows."""
-    if not qs:
-        raise ValueError("empty sequence")
-    d = vs[0].shape[1]
-    M: Tensor | None = None
-    m_vec: Tensor | None = None
-    out = []
-    for q, k, v in zip(qs, ks, vs):
-        pk = feature_map_apply_t(fmap, k)            # (1, m)
-        outer = pk.T @ v                             # (m, d)
-        M = outer if M is None else M + outer
-        m_vec = pk if m_vec is None else m_vec + pk
-        pq = feature_map_apply_t(fmap, q)            # (1, m)
-        denom = (pq * m_vec).sum(axis=1, keepdims=True)  # (1, 1)
-        if denom.item() <= EPS_DENOM:
-            out.append(v)
-        else:
-            out.append((pq @ M) / denom)
-    return out
+def _causal_mask(lq: int, length: int) -> np.ndarray:
+    """(lq, length) 0/1 mask: query row a stands at key row length - lq + a
+    and sees the keys up to and including its own."""
+    return np.tri(lq, length, length - lq)
 
 
-def exact_causal_attention_t(qs: list[Tensor], ks: list[Tensor], vs: list[Tensor],
-                             kernel: str = "softmax") -> list[Tensor]:
-    """Gradient-tracked quadratic attention over per-frame (1, dim) rows."""
-    if not qs:
+def _causal_average(weights: Tensor, V: Tensor) -> Tensor:
+    """Mask -> row sum -> degenerate-row fallback -> normalise.
+
+    ``weights`` (Lq, L) are nonnegative similarities of the query rows to
+    every key row. A row whose masked weight is at most EPS_DENOM returns
+    the value vector at the query's own position instead.
+    """
+    lq, length = weights.shape
+    weights = weights * _causal_mask(lq, length)
+    total = weights.sum(axis=1, keepdims=True)
+    keep = (total.data > EPS_DENOM).astype(np.float64)
+    own = V.narrow(0, length - lq, lq)
+    return (weights @ V) / (total + (1.0 - keep)) * keep + own * (1.0 - keep)
+
+
+def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
+    if K.shape[0] < 1:
         raise ValueError("empty sequence")
-    out = []
-    for i, q in enumerate(qs):
-        if kernel == "softmax":
-            logits = [(k * q).sum(axis=1, keepdims=True) for k in ks[: i + 1]]
-            shift = max(l.item() for l in logits)  # constant; ratio-invariant
-            weights = [(l - shift).exp() for l in logits]
-        else:
-            weights = [(k.relu() * q.relu()).sum(axis=1, keepdims=True) for k in ks[: i + 1]]
-        total = weights[0]
-        for w in weights[1:]:
-            total = total + w
-        if total.item() <= EPS_DENOM:
-            out.append(vs[i])
-            continue
-        acc = weights[0] * vs[0]
-        for w, v in zip(weights[1:], vs[1 : i + 1]):
-            acc = acc + w * v
-        out.append(acc / total)
-    return out
+    if V.shape[0] != K.shape[0] or not 1 <= Q.shape[0] <= K.shape[0]:
+        raise ValueError(f"need 1 <= query rows <= key rows == value rows, got "
+                         f"{Q.shape}, {K.shape}, {V.shape}")
+
+
+def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor,
+                              fmap: KernelFeatureMap) -> Tensor:
+    """Gradient-tracked linear attention, parallel form.
+
+    K and V hold L rows; Q holds the last Lq <= L query rows. Row a equals
+    a memory query after absorbing key/value rows up to its own position.
+    """
+    _check_rows(Q, K, V)
+    weights = feature_map_apply_t(fmap, Q) @ feature_map_apply_t(fmap, K).T
+    return _causal_average(weights, V)
+
+
+def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,
+                             kernel: str = "softmax") -> Tensor:
+    """Gradient-tracked quadratic attention over (L, dim) rows; Q holds the
+    last Lq <= L query rows, as in ``causal_linear_attention_t``."""
+    _check_rows(Q, K, V)
+    if kernel == "relu":
+        return _causal_average(Q.relu() @ K.relu().T, V)
+    # later keys are masked out before the row max, so they never reach a row
+    logits = Q @ K.T + np.where(_causal_mask(Q.shape[0], K.shape[0]), 0.0, -np.inf)
+    return _causal_average((logits - logits.data.max(axis=1, keepdims=True)).exp(), V)

@@ -1,10 +1,11 @@
 """Attention-block throughput: constant-size memory vs stored-history attention.
 
 Measures the median per-frame step cost of the two sequence blocks at several
-history lengths L. The memory path does one update+query on its (m, d) state,
-independent of L; the stored-history path computes one exact attention row
-over L keys, linear in L. ``heads`` batches independent rows into each step
-so numpy dispatch overhead does not mask the asymptotic contrast.
+history lengths L, with the model's own streaming operations. The mvp step
+is one ``memory_update`` + ``memory_query`` per head on its (m, d) memory,
+independent of L; the mvt step is ``exact_causal_attention_t`` for the new
+row over the stored L-row history, as ``forward_step`` runs it, linear in L.
+``heads`` independent heads make up each step, as in a multi-head layer.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ from time import perf_counter
 
 import numpy as np
 
+from .attention import (
+    AssociativeMemory,
+    exact_causal_attention_t,
+    feature_map,
+    memory_query,
+    memory_update,
+)
+from .autograd import Tensor
+
 
 def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 256,
                     heads: int = 8, trials: int = 200, kernel: str = "relu",
@@ -21,41 +31,29 @@ def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 25
     """Median step seconds per history length for both block kinds."""
     results = {"mvp": {}, "mvt": {}, "d": d, "d_qk": d_qk, "heads": heads,
                "trials": trials, "kernel": kernel}
+    fmap = feature_map(kernel, d_qk=d_qk, m=d_qk, seed=seed)
     for L in lengths:
         rng = np.random.default_rng(seed)
-        m = d_qk
-        M = rng.standard_normal((heads, m, d))
-        m_vec = rng.standard_normal((heads, m, 1)) ** 2
-        k_hist = rng.standard_normal((heads, L, d_qk))
-        v_hist = rng.standard_normal((heads, L, d))
+        memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, d)),
+                                      m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
+                    for _ in range(heads)]
+        k_hist = [list(rng.standard_normal((L, d_qk))) for _ in range(heads)]
+        v_hist = [list(rng.standard_normal((L, d))) for _ in range(heads)]
         k = rng.standard_normal((heads, d_qk))
         v = rng.standard_normal((heads, d))
         q = rng.standard_normal((heads, d_qk))
 
-        def phi(x):
-            if kernel == "relu":
-                return np.maximum(x, 0.0)
-            return np.exp(x - 0.5 * (x * x).sum(-1, keepdims=True)) / np.sqrt(m)
+        def memory_step():
+            for h, mem in enumerate(memories):
+                memory_update(mem, k[h], v[h])
+                memory_query(mem, q[h], fallback=v[h])
 
-        def mvp_step():
-            pk = phi(k)
-            M_new = M + pk[:, :, None] @ v[:, None, :]
-            mv_new = m_vec + pk[:, :, None]
-            pq = phi(q)
-            num = pq[:, None, :] @ M_new
-            den = pq[:, None, :] @ mv_new
-            return num / np.maximum(den, 1e-9)
+        def history_step():
+            for h in range(heads):
+                exact_causal_attention_t(Tensor(q[h : h + 1]), Tensor(np.stack(k_hist[h])),
+                                         Tensor(np.stack(v_hist[h])), kernel)
 
-        def mvt_step():
-            if kernel == "relu":
-                w = np.einsum("hld,hd->hl", np.maximum(k_hist, 0.0), np.maximum(q, 0.0))
-            else:
-                logits = np.einsum("hld,hd->hl", k_hist, q)
-                w = np.exp(logits - logits.max(axis=1, keepdims=True))
-            out = np.einsum("hl,hld->hd", w, v_hist)
-            return out / np.maximum(w.sum(axis=1, keepdims=True), 1e-9)
-
-        for name, step in (("mvp", mvp_step), ("mvt", mvt_step)):
+        for name, step in (("mvp", memory_step), ("mvt", history_step)):
             step()  # warm up caches and BLAS dispatch
             samples = np.empty(trials)
             for t in range(trials):

@@ -104,16 +104,3 @@ def load_model(path) -> MvpModel:
         model.params[name].data = value
     return model
 
-
-def restore_into(model: MvpModel, path) -> MvpModel:
-    """Load weights into an existing model; any config difference is rejected."""
-    config, arrays = load_checkpoint(path)
-    if config != model.config:
-        raise CheckpointError(
-            f"config mismatch: checkpoint resolution {config.resolution} vs model "
-            f"resolution {model.config.resolution}\n"
-            f"checkpoint config: {config.to_dict()}\n"
-            f"model config:      {model.config.to_dict()}")
-    for name, value in arrays.items():
-        model.params[name].data = value
-    return model

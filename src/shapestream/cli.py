@@ -9,6 +9,7 @@ machine-readable provenance record. Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -31,9 +32,7 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
-MODEL_CONFIG_KEYS = ("variant", "resolution", "latent_dim", "qk_dim", "feature_count",
-                     "kernel", "performer_layers", "conv_channels", "mlp_ratio",
-                     "train_views", "max_views", "share_towers", "seed")
+MODEL_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
 TRAIN_ONLY_KEYS = ("learning_rate", "steps", "val_every")
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .marching import marching_cubes, sample_surface_points, write_off
-from .model import MvpModel, forward_step
+from .model import MvpModel, stream_predictions
 from .voxel import PointCloud, VoxelGrid, write_pgm_slice, write_vxg
 
 DEFAULT_SURFACE_SAMPLES = 2048
@@ -156,12 +156,8 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
     report = MetricReport(protocol=protocol, split=split, threshold=threshold)
     out = Path(export_dir) if export_dir is not None else None
     for seq_id, frames, targets in sequences:
-        state = model.init_state() if model is not None else None
-        for i, (frame, target) in enumerate(zip(frames, targets)):
-            if model is None:
-                pred = target
-            else:
-                pred, state = forward_step(model, state, frame)
+        preds = targets if model is None else stream_predictions(model, frames)
+        for i, (pred, target) in enumerate(zip(preds, targets)):
             j = jaccard(pred, target)
             seed = sample_seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536
             pred_cloud = _surface_cloud(pred, n_points, seed)

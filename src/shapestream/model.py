@@ -18,15 +18,21 @@ query/key and value widths, each head owning its own memory. Intermediate
 activations are ReLU; the output activation is a sigmoid, so predictions
 always lie in (0, 1).
 
-``sequence_predictions`` runs the whole gradient-tracked unroll used in
-training; ``forward_step`` advances one frame at a time with per-variant
-streaming state (constant-size for mvp, growing for mvt) and produces the
-same numbers as the unrolled pass.
+One frame-batched forward serves training and streaming: both encoder
+towers and the decoder run once on all L frames, and one block stack runs
+over (L, latent_dim) tokens. Only the mixing sublayer differs between the
+two uses. ``sequence_predictions`` (training) gives it no state, so mvp and
+mvt use the parallel form of causal attention and lstm starts from zeros.
+``forward_step`` (streaming) advances one frame with per-variant state:
+the recurrent memory for mvp (constant size), the stored key/value history
+for mvt (growing) and (h, c) for lstm. Both produce the same numbers;
+``stream_predictions`` runs ``forward_step`` over a whole sequence.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -285,20 +291,23 @@ def _tower_prefix(model: MvpModel, tower: str) -> str:
 
 
 def _encode(model: MvpModel, tower: str, values: np.ndarray) -> Tensor:
+    """(L, r, r, r) frames -> (L, latent_dim) embeddings."""
     cfg = model.config
     prefix = _tower_prefix(model, tower)
-    x = Tensor(values.reshape(1, 1, *values.shape))
+    x = Tensor(values[:, None])
     for li in range(len(cfg.conv_channels)):
         x = conv3d(x, model.params[f"{prefix}.conv{li}"], ENC_STRIDE, ENC_PAD).relu()
-    flat = x.reshape(1, cfg.bottleneck_flat)
+    flat = x.reshape(len(values), cfg.bottleneck_flat)
     return (flat @ model.params[f"{prefix}.dense.w"] + model.params[f"{prefix}.dense.b"]).relu()
 
 
 def _decode(model: MvpModel, embedding: Tensor) -> Tensor:
+    """(L, latent_dim) embeddings -> (L, r, r, r) occupancy in (0, 1)."""
     cfg = model.config
+    n = embedding.shape[0]
     z = (embedding @ model.params["dec.dense.w"] + model.params["dec.dense.b"]).relu()
     s = cfg.bottleneck_spatial
-    x = z.reshape(1, cfg.conv_channels[-1], s, s, s)
+    x = z.reshape(n, cfg.conv_channels[-1], s, s, s)
     n_stages = len(cfg.conv_channels)
     for li in range(n_stages):
         x = conv_transpose3d(x, model.params[f"dec.convt{li}"], DEC_STRIDE, DEC_PAD)
@@ -306,7 +315,7 @@ def _decode(model: MvpModel, embedding: Tensor) -> Tensor:
             x = x.relu()
     x = x + model.params["dec.out_bias"]
     r = cfg.resolution
-    return x.sigmoid().reshape(r, r, r)
+    return x.sigmoid().reshape(n, r, r, r)
 
 
 def _rms_norm(x: Tensor, scale: Tensor) -> Tensor:
@@ -334,117 +343,80 @@ def _lstm_cell(model: MvpModel, l: int, x: Tensor, h: Tensor, c: Tensor
     return h_new, c_new
 
 
-def _head_slices(cfg: ModelConfig, qs, ks, vs, head: int):
+def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: dict | None) -> Tensor:
+    """Hidden states of the row recurrence, from zeros or from ``carry``'s
+    (h, c), which is advanced in place."""
+    zeros = np.zeros((1, model.config.latent_dim))
+    h = Tensor(zeros if carry is None else carry["h"])
+    c = Tensor(zeros if carry is None else carry["c"])
+    rows = []
+    for i in range(x.shape[0]):
+        h, c = _lstm_cell(model, l, x.narrow(0, i, 1), h, c)
+        rows.append(h)
+    if carry is not None:
+        carry["h"], carry["c"] = h.data, c.data
+    return concat(rows, axis=0)
+
+
+def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, memory
+            ) -> Tensor:
+    """One head of causal attention for the new rows. ``memory`` is None in
+    the parallel form, else the head's streaming state: an associative
+    memory (mvp) or the stored key/value history (mvt)."""
+    cfg = model.config
+    if cfg.variant == "mvp":
+        if memory is None:
+            return attn.causal_linear_attention_t(q, k, v, model.fmaps[head])
+        rows = []
+        for qi, ki, vi in zip(q.data, k.data, v.data):
+            attn.memory_update(memory, ki, vi)
+            rows.append(attn.memory_query(memory, qi, fallback=vi))
+        return Tensor(np.stack(rows))
+    if memory is not None:
+        memory["keys"].extend(k.data)
+        memory["values"].extend(v.data)
+        k, v = Tensor(np.stack(memory["keys"])), Tensor(np.stack(memory["values"]))
+    return attn.exact_causal_attention_t(q, k, v, cfg.kernel)
+
+
+def _mix(model: MvpModel, l: int, x: Tensor, state: SequenceState | None) -> Tensor:
+    """The sequence-mixing sublayer of block ``l``: the only part of the
+    block stack that reads or advances the streaming state."""
+    cfg = model.config
+    p = model.params
+    if cfg.variant == "single_view":
+        return (x @ p[f"blk{l}.dense.w"] + p[f"blk{l}.dense.b"]).relu()
+    layer = None if state is None else state.layers[l]
+    if cfg.variant == "lstm":
+        return _lstm_rows(model, l, x, layer)
+    q, k, v = (x @ p[f"blk{l}.w{name}"] for name in "qkv")
     hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-    return ([q.narrow(1, head * hq, hq) for q in qs],
-            [k.narrow(1, head * hq, hq) for k in ks],
-            [v.narrow(1, head * hv, hv) for v in vs])
+    heads = [_attend(model, h, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
+                     v.narrow(1, h * hv, hv), None if layer is None else layer[h])
+             for h in range(cfg.attention_heads)]
+    return concat(heads, axis=1) @ p[f"blk{l}.wo"]
 
 
-def _attend_sequence(model: MvpModel, qs, ks, vs) -> list[Tensor]:
-    """Per-head causal attention over the whole token sequence."""
-    cfg = model.config
-    if cfg.attention_heads == 1:
-        if cfg.variant == "mvp":
-            return attn.causal_linear_attention_t(qs, ks, vs, model.fmaps[0])
-        return attn.exact_causal_attention_t(qs, ks, vs, cfg.kernel)
-    per_head = []
-    for head in range(cfg.attention_heads):
-        hq, hk, hv = _head_slices(cfg, qs, ks, vs, head)
-        if cfg.variant == "mvp":
-            per_head.append(attn.causal_linear_attention_t(hq, hk, hv,
-                                                           model.fmaps[head]))
-        else:
-            per_head.append(attn.exact_causal_attention_t(hq, hk, hv, cfg.kernel))
-    return [concat([per_head[h][i] for h in range(cfg.attention_heads)], axis=1)
-            for i in range(len(qs))]
-
-
-def _block_sequence(model: MvpModel, tokens: list[Tensor]) -> list[Tensor]:
-    """Full-sequence pass through the block stack (gradient-tracked)."""
-    cfg = model.config
+def _blocks(model: MvpModel, x: Tensor, state: SequenceState | None) -> Tensor:
+    """The pre-normalized residual block stack over (L, latent_dim) tokens."""
     p = model.params
-    for l in range(cfg.performer_layers):
-        if cfg.variant in ("mvp", "mvt"):
-            normed = [_rms_norm(t, p[f"blk{l}.norm1.scale"]) for t in tokens]
-            qs = [n @ p[f"blk{l}.wq"] for n in normed]
-            ks = [n @ p[f"blk{l}.wk"] for n in normed]
-            vs = [n @ p[f"blk{l}.wv"] for n in normed]
-            att = _attend_sequence(model, qs, ks, vs)
-            tokens = [t + a @ p[f"blk{l}.wo"] for t, a in zip(tokens, att)]
-        elif cfg.variant == "lstm":
-            h = Tensor(np.zeros((1, cfg.latent_dim)))
-            c = Tensor(np.zeros((1, cfg.latent_dim)))
-            new_tokens = []
-            for t in tokens:
-                h, c = _lstm_cell(model, l, _rms_norm(t, p[f"blk{l}.norm1.scale"]), h, c)
-                new_tokens.append(t + h)
-            tokens = new_tokens
-        else:  # single_view: history-free dense sublayer
-            tokens = [
-                t + ((_rms_norm(t, p[f"blk{l}.norm1.scale"]) @ p[f"blk{l}.dense.w"]
-                      + p[f"blk{l}.dense.b"]).relu())
-                for t in tokens
-            ]
-        tokens = [t + _mlp(model, l, _rms_norm(t, p[f"blk{l}.norm2.scale"]))
-                  for t in tokens]
-    return tokens
+    for l in range(model.config.performer_layers):
+        x = x + _mix(model, l, _rms_norm(x, p[f"blk{l}.norm1.scale"]), state)
+        x = x + _mlp(model, l, _rms_norm(x, p[f"blk{l}.norm2.scale"]))
+    return x
 
 
-def _block_step(model: MvpModel, state: SequenceState, token: Tensor) -> Tensor:
-    """One streaming step through the block stack, updating state in place."""
-    cfg = model.config
-    p = model.params
-    for l in range(cfg.performer_layers):
-        if cfg.variant in ("mvp", "mvt"):
-            normed = _rms_norm(token, p[f"blk{l}.norm1.scale"])
-            q = (normed @ p[f"blk{l}.wq"]).data[0]
-            k = (normed @ p[f"blk{l}.wk"]).data[0]
-            v = (normed @ p[f"blk{l}.wv"]).data[0]
-            hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-            outs = []
-            for head in range(cfg.attention_heads):
-                kh = k[head * hq : (head + 1) * hq]
-                qh = q[head * hq : (head + 1) * hq]
-                vh = v[head * hv : (head + 1) * hv]
-                if cfg.variant == "mvp":
-                    mem: attn.AssociativeMemory = state.layers[l][head]
-                    attn.memory_update(mem, kh, vh)
-                    outs.append(attn.memory_query(mem, qh, fallback=vh))
-                else:
-                    hist = state.layers[l][head]
-                    hist["keys"].append(kh)
-                    hist["values"].append(vh)
-                    outs.append(_exact_attention_row(qh, hist["keys"], hist["values"],
-                                                     cfg.kernel))
-            out = np.concatenate(outs)
-            token = token + Tensor(out[None, :]) @ p[f"blk{l}.wo"]
-        elif cfg.variant == "lstm":
-            layer = state.layers[l]
-            h, c = Tensor(layer["h"]), Tensor(layer["c"])
-            h, c = _lstm_cell(model, l, _rms_norm(token, p[f"blk{l}.norm1.scale"]), h, c)
-            layer["h"], layer["c"] = h.data, c.data
-            token = token + h
-        else:
-            token = token + ((_rms_norm(token, p[f"blk{l}.norm1.scale"])
-                              @ p[f"blk{l}.dense.w"] + p[f"blk{l}.dense.b"]).relu())
-        token = token + _mlp(model, l, _rms_norm(token, p[f"blk{l}.norm2.scale"]))
-    return token
+def _forward(model: MvpModel, values: np.ndarray, start: int,
+             state: SequenceState | None = None) -> Tensor:
+    """(L, r, r, r) predictions for frames start..start+L-1 of a sequence.
 
-
-def _exact_attention_row(q: np.ndarray, keys: list, values: list, kernel: str) -> np.ndarray:
-    """Newest row of exact attention over the stored history (mvt step)."""
-    K = np.stack(keys)
-    V = np.stack(values)
-    if kernel == "softmax":
-        logits = K @ q
-        w = np.exp(logits - logits.max())
-    else:
-        w = np.maximum(K, 0.0) @ np.maximum(q, 0.0)
-    total = w.sum()
-    if total <= attn.EPS_DENOM:
-        return values[-1].copy()
-    return (w @ V) / total
+    Without ``state`` the block stack runs the parallel form over the L
+    frames alone; with it, the frames continue the streamed sequence and the
+    state absorbs them.
+    """
+    tokens = (_encode(model, "ctx", values)
+              + Tensor(model.pos_table[start : start + len(values)]))
+    return _decode(model, _encode(model, "frame", values) + _blocks(model, tokens, state))
 
 
 def _frame_values(frame) -> np.ndarray:
@@ -459,6 +431,8 @@ def _frame_values(frame) -> np.ndarray:
 def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
     """Gradient-tracked predictions for every frame of a sequence."""
     cfg = model.config
+    if not frames:
+        raise ValueError("empty sequence")
     if len(frames) > cfg.max_views:
         raise ValueError(f"sequence length {len(frames)} exceeds max_views {cfg.max_views}")
     values = [_frame_values(f) for f in frames]
@@ -466,11 +440,9 @@ def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
         if v.shape != (cfg.resolution,) * 3:
             raise ValueError(
                 f"frame shape {v.shape} does not match model resolution {cfg.resolution}")
-    frame_emb = [_encode(model, "frame", v) for v in values]
-    tokens = [_encode(model, "ctx", v) + Tensor(model.pos_table[i : i + 1])
-              for i, v in enumerate(values)]
-    context = _block_sequence(model, tokens)
-    return [_decode(model, e + c) for e, c in zip(frame_emb, context)]
+    preds = _forward(model, np.stack(values), 0)
+    r = cfg.resolution
+    return [preds.narrow(0, i, 1).reshape(r, r, r) for i in range(len(frames))]
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
@@ -486,13 +458,18 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     if state.frame_index >= cfg.max_views:
         raise ValueError(f"sequence exceeds max_views {cfg.max_views}")
     with no_grad():
-        e = _encode(model, "frame", frame.values)
-        token = (_encode(model, "ctx", frame.values)
-                 + Tensor(model.pos_table[state.frame_index : state.frame_index + 1]))
-        token = _block_step(model, state, token)
-        pred = _decode(model, e + token)
+        pred = _forward(model, frame.values[None], state.frame_index, state)
     state.frame_index += 1
-    return VoxelGrid(pred.data, frame.origin, frame.voxel_size), state
+    return VoxelGrid(pred.data[0], frame.origin, frame.voxel_size), state
+
+
+def stream_predictions(model: MvpModel, frames: list) -> Iterator[VoxelGrid]:
+    """Yield the streamed prediction (a VoxelGrid) for each frame in turn,
+    starting from a fresh state."""
+    state = model.init_state()
+    for frame in frames:
+        pred, state = forward_step(model, state, frame)
+        yield pred
 
 
 def bce_from_predictions(preds: list[Tensor], targets: list) -> Tensor:

@@ -22,8 +22,8 @@ from .model import (
     MvpModel,
     bce_from_predictions,
     build_model,
-    forward_step,
     sequence_predictions,
+    stream_predictions,
 )
 from .optim import AdamState, adam_update, gradients_of, zero_gradients
 from .voxel import VoxelGrid
@@ -63,11 +63,9 @@ def evaluate_sequences(model: MvpModel, sequences: list, views: int | None = Non
     for frames, targets in sequences:
         if views is not None:
             frames, targets = frames[:views], targets[:views]
-        state = model.init_state()
-        for frame, target in zip(frames, targets):
-            grid = frame if isinstance(frame, VoxelGrid) else VoxelGrid(
-                _values(frame), np.zeros(3), 1.0)
-            pred, state = forward_step(model, state, grid)
+        grids = [f if isinstance(f, VoxelGrid) else VoxelGrid(_values(f), np.zeros(3), 1.0)
+                 for f in frames]
+        for pred, target in zip(stream_predictions(model, grids), targets):
             losses.append(_mean_bce(pred.values, _values(target)))
             jaccards.append(jaccard_values(pred.values, _values(target)))
     return float(np.mean(losses)), float(np.mean(jaccards))

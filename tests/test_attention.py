@@ -82,14 +82,6 @@ def test_feature_map_dimension_mismatch_rejected():
         feature_map_apply(fmap, np.zeros(4))
 
 
-def test_orthogonal_projection_rows_orthogonal_per_block():
-    fmap = feature_map("softmax", d_qk=8, m=16, seed=5, orthogonal=True)
-    block = fmap.projection[:8]
-    gram = block @ block.T
-    off = gram - np.diag(np.diag(gram))
-    assert np.max(np.abs(off)) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # associative memory
 # ---------------------------------------------------------------------------
@@ -351,54 +343,48 @@ def test_hopfield_style_nearest_neighbor_retrieval():
 # ---------------------------------------------------------------------------
 
 
-def _rows(a: np.ndarray) -> list:
-    return [Tensor(a[i : i + 1]) for i in range(a.shape[0])]
+def _attention_inputs(rng, L=6, d=4):
+    """(Q, K, V, Lq) cases: random rows; all-negative keys, so every relu row
+    falls back to its own value; a last key whose logit dominates every row,
+    so the row max must be taken after masking; and a query block of the
+    last Lq < L rows."""
+    Q, K, V = (rng.standard_normal((L, d)) for _ in range(3))
+    late = np.abs(K)
+    late[-1] = 30.0
+    return [(Q, K, V, L), (Q, -np.abs(K), V, L), (np.abs(Q), late, V, L), (Q, K, V, 2)]
 
 
 def test_tensor_feature_map_matches_ndarray():
     for kind, m in (("relu", None), ("softmax", 12)):
         fmap = (feature_map("relu", d_qk=6) if kind == "relu"
                 else feature_map("softmax", d_qk=6, m=m, seed=3))
-        x = RNG(10).standard_normal(6)
-        got = feature_map_apply_t(fmap, Tensor(x[None, :])).data[0]
+        x = RNG(10).standard_normal((5, 6))
+        got = feature_map_apply_t(fmap, Tensor(x)).data
         np.testing.assert_allclose(got, feature_map_apply(fmap, x), atol=1e-14)
 
 
 def test_tensor_linear_attention_matches_ndarray():
-    rng = RNG(11)
-    L, d = 6, 4
-    Q, K, V = (rng.standard_normal((L, d)) for _ in range(3))
-    for fmap in (feature_map("relu", d_qk=d),
-                 feature_map("softmax", d_qk=d, m=8, seed=1)):
-        want = causal_linear_attention(Q, K, V, fmap)
-        got = causal_linear_attention_t(_rows(Q), _rows(K), _rows(V), fmap)
-        got = np.vstack([t.data for t in got])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    for Q, K, V, lq in _attention_inputs(RNG(11)):
+        for fmap in (feature_map("relu", d_qk=4),
+                     feature_map("softmax", d_qk=4, m=8, seed=1)):
+            want = causal_linear_attention(Q, K, V, fmap)[-lq:]
+            got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap)
+            np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
 def test_tensor_exact_attention_matches_ndarray():
-    rng = RNG(12)
-    L, d = 6, 4
-    Q, K, V = (rng.standard_normal((L, d)) for _ in range(3))
-    for kernel in ("softmax", "relu"):
-        want = exact_causal_attention(Q, K, V, kernel)
-        got = exact_causal_attention_t(_rows(Q), _rows(K), _rows(V), kernel)
-        got = np.vstack([t.data for t in got])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+    for Q, K, V, lq in _attention_inputs(RNG(12)):
+        for kernel in ("softmax", "relu"):
+            want = exact_causal_attention(Q, K, V, kernel)[-lq:]
+            got = exact_causal_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), kernel)
+            np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
 def test_tensor_attention_gradients_flow_to_inputs():
     rng = RNG(13)
     L, d = 4, 3
-    Q, K, V = (rng.standard_normal((L, d)) for _ in range(3))
-    qs = [Tensor(Q[i : i + 1], requires_grad=True) for i in range(L)]
-    ks = [Tensor(K[i : i + 1], requires_grad=True) for i in range(L)]
-    vs = [Tensor(V[i : i + 1], requires_grad=True) for i in range(L)]
+    Q, K, V = (Tensor(rng.standard_normal((L, d)), requires_grad=True) for _ in range(3))
     fmap = feature_map("softmax", d_qk=d, m=6, seed=2)
-    out = causal_linear_attention_t(qs, ks, vs, fmap)
-    loss = out[0].sum()
-    for t in out[1:]:
-        loss = loss + t.sum()
-    loss.backward()
-    assert qs[0].grad is not None and ks[0].grad is not None and vs[0].grad is not None
-    assert np.any(vs[0].grad != 0)
+    causal_linear_attention_t(Q, K, V, fmap).sum().backward()
+    assert Q.grad is not None and K.grad is not None and V.grad is not None
+    assert np.any(V.grad[0] != 0)

@@ -7,7 +7,6 @@ from shapestream.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_model,
-    restore_into,
     save_checkpoint,
 )
 from shapestream.model import ModelConfig, build_model, sequence_predictions
@@ -66,31 +65,6 @@ def test_bad_magic_reported(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="magic"):
         load_checkpoint(path)
-
-
-def test_restore_into_mismatched_resolution_names_both(tmp_path):
-    small = build_model(tiny_config())
-    big = build_model(tiny_config(resolution=16))
-    path = tmp_path / "m.mvpc"
-    save_checkpoint(path, small.config, small.params)
-    with pytest.raises(CheckpointError) as err:
-        restore_into(big, path)
-    msg = str(err.value)
-    assert "resolution 8" in msg and "resolution 16" in msg
-    assert "checkpoint config" in msg and "model config" in msg
-
-
-def test_restore_into_matching_config(tmp_path):
-    a = build_model(tiny_config(seed=1))
-    b = build_model(tiny_config(seed=1))
-    for p in b.params.values():
-        p.data = p.data + 1.0  # diverge, then restore
-    path = tmp_path / "m.mvpc"
-    save_checkpoint(path, a.config, a.params)
-    restore_into(b, path)
-    for name in a.params:
-        np.testing.assert_allclose(b.params[name].data,
-                                   a.params[name].data.astype(np.float32), atol=0)
 
 
 def test_weights_stored_as_float32(tmp_path):

@@ -93,6 +93,16 @@ def test_train_and_eval_round_trip(tmp_path, capsys):
     assert 0.0 <= summary["mean_jaccard"] <= 1.0
 
 
+def test_train_heads_flag_then_eval(tmp_path):
+    data = gen(tmp_path)
+    run = tmp_path / "heads"
+    assert main(["train", "--data", data, "--out", str(run), "--variant", "mvp",
+                 *TINY_TRAIN, "--heads", "2", "--steps", "1"]) == 0
+    assert load_model(run / "checkpoint.mvpc").config.attention_heads == 2
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.mvpc"), "--data", data,
+                 "--out", str(tmp_path / "heads_eval")]) == 0
+
+
 def test_train_single_view_prints_stateless_note(tmp_path, capsys):
     data = gen(tmp_path)
     code = main(["train", "--data", data, "--out", str(tmp_path / "sv"),

@@ -177,16 +177,17 @@ def test_resolution_mismatch_rejected():
 
 @pytest.mark.parametrize("variant", ["mvp", "mvt", "lstm"])
 def test_causality_perturbing_frame_j_only_changes_later(variant):
-    model = build_model(tiny_config(variant))
     values, _ = random_frames(5, seed=6)
-    base = [p.data for p in sequence_predictions(model, values)]
     j = 2
     perturbed = [v.copy() for v in values]
     perturbed[j] = 1.0 - perturbed[j]
-    new = [p.data for p in sequence_predictions(model, perturbed)]
-    for i in range(j):
-        np.testing.assert_array_equal(base[i], new[i])
-    assert any(np.max(np.abs(base[i] - new[i])) > 1e-12 for i in range(j, 5))
+    for kernel in ("relu", "softmax"):
+        model = build_model(tiny_config(variant, kernel=kernel))
+        base = [p.data for p in sequence_predictions(model, values)]
+        new = [p.data for p in sequence_predictions(model, perturbed)]
+        for i in range(j):
+            np.testing.assert_array_equal(base[i], new[i])
+        assert any(np.max(np.abs(base[i] - new[i])) > 1e-12 for i in range(j, 5))
 
 
 def test_single_view_ignores_history_entirely():
