@@ -30,8 +30,7 @@ and ``exact_causal_attention`` are the row-by-row references.
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
 most EPS_DENOM returns the row's own value vector, keeping outputs finite
-and causal. ``memory_query`` applies the division guard EPS_DENOM instead
-unless an explicit ``fallback`` value is supplied.
+and causal.
 """
 
 from __future__ import annotations
@@ -61,7 +60,8 @@ class KernelFeatureMap:
     d_qk: int
     m: int
     seed: int = 0
-    projection: np.ndarray | None = field(default=None, repr=False)
+    # softmax only: (m, d_qk) unit-Gaussian rows drawn from ``seed``
+    projection: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -69,19 +69,9 @@ class KernelFeatureMap:
         if self.kind == "relu":
             if self.m != self.d_qk:
                 raise ValueError(f"relu feature map requires m == d_qk, got m={self.m}, d_qk={self.d_qk}")
-            if self.projection is not None:
-                raise ValueError("relu feature map carries no projection")
         else:
-            if self.projection is None:
-                object.__setattr__(self, "projection", _draw_projection(
-                    self.m, self.d_qk, self.seed))
-            elif self.projection.shape != (self.m, self.d_qk):
-                raise ValueError(
-                    f"projection shape {self.projection.shape} != (m, d_qk) = ({self.m}, {self.d_qk})")
-
-
-def _draw_projection(m: int, d_qk: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal((m, d_qk))
+            object.__setattr__(self, "projection", np.random.default_rng(
+                self.seed).standard_normal((self.m, self.d_qk)))
 
 
 def feature_map(kind: str, d_qk: int, m: int | None = None, seed: int = 0
@@ -158,21 +148,21 @@ def memory_update(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray) -> Assoc
     return mem
 
 
-def memory_query(mem: AssociativeMemory, q: np.ndarray,
-                 fallback: np.ndarray | None = None) -> np.ndarray:
-    """Retrieve phi(q) M / max(phi(q).m_vec, EPS_DENOM).
+def memory_query(mem: AssociativeMemory, q: np.ndarray, fallback: np.ndarray
+                 ) -> np.ndarray:
+    """Retrieve phi(q) M / (phi(q).m_vec).
 
-    With ``fallback`` given, a denominator at or below EPS_DENOM returns the
-    fallback vector instead (the rule the attention routines use).
+    A denominator at or below EPS_DENOM returns ``fallback`` instead: the
+    degenerate-row rule, with the value vector of the query's own row.
     """
     if mem.count < 1:
         raise ValueError("query of an empty memory (denominator would be 0)")
     q = np.asarray(q, dtype=np.float64)
     pq = feature_map_apply(mem.fmap, q)
     denom = float(pq @ mem.m_vec)
-    if denom <= EPS_DENOM and fallback is not None:
+    if denom <= EPS_DENOM:
         return np.asarray(fallback, dtype=np.float64).copy()
-    return (pq @ mem.M) / max(denom, EPS_DENOM)
+    return (pq @ mem.M) / denom
 
 
 # ---------------------------------------------------------------------------

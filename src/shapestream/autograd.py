@@ -79,9 +79,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -243,9 +240,6 @@ class Tensor:
                 self._accumulate(g.reshape(old_shape))
 
         return self._make_child(out_data, (self,), backward)
-
-    def flatten(self):
-        return self.reshape(self.size)
 
     @property
     def T(self):

@@ -68,7 +68,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise CheckpointError(f"unsupported format version {version}, expected {CKPT_VERSION}")
     (cfg_len,) = struct.unpack_from("<I", blob, offset)
     offset += 4
-    config = ModelConfig.from_dict(json.loads(blob[offset : offset + cfg_len].decode()))
+    try:
+        config = ModelConfig.from_dict(json.loads(blob[offset : offset + cfg_len].decode()))
+    except (ValueError, TypeError, KeyError) as err:
+        raise CheckpointError(f"embedded model config is invalid: {err}") from err
     offset += cfg_len
     (count,) = struct.unpack_from("<I", blob, offset)
     offset += 4

@@ -9,7 +9,6 @@ machine-readable provenance record. Exit codes: 0 success, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -32,8 +31,7 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
-MODEL_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig))
-TRAIN_ONLY_KEYS = ("learning_rate", "steps", "val_every")
+TRAIN_DEFAULTS = {"steps": 500, "learning_rate": 1e-3, "val_every": 100}
 
 
 class UsageError(Exception):
@@ -114,7 +112,10 @@ def cmd_gen_data(args, argv: list) -> int:
 
 
 def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
-    settings: dict = {"resolution": manifest.resolution, "seed": args.seed}
+    """Model config and training settings from one merge: defaults, then
+    --config, then --set, then explicit flags."""
+    settings: dict = {"resolution": manifest.resolution, "seed": _default_seed(),
+                      **TRAIN_DEFAULTS}
     if args.config:
         settings.update(json.loads(Path(args.config).read_text()))
     settings.update(_parse_set_overrides(args.set))
@@ -123,19 +124,16 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
         "kernel": args.kernel, "latent_dim": args.latent_dim,
         "qk_dim": args.qk_dim, "feature_count": args.features,
         "performer_layers": args.layers, "resolution": args.res,
-        "attention_heads": args.heads,
+        "attention_heads": args.heads, "steps": args.steps,
+        "learning_rate": args.lr, "val_every": args.val_every, "seed": args.seed,
     }
     if getattr(args, "channels", None):
         flag_map["conv_channels"] = [int(c) for c in args.channels.split(",")]
     for key, value in flag_map.items():
         if value is not None:
             settings[key] = value
-    train_settings = {k: settings.pop(k) for k in list(settings)
-                      if k in TRAIN_ONLY_KEYS}
-    unknown = set(settings) - set(MODEL_CONFIG_KEYS)
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    config = ModelConfig(**settings).validate()
+    train_settings = {k: settings.pop(k) for k in TRAIN_DEFAULTS}
+    config = ModelConfig.from_dict(settings)
     if config.resolution != manifest.resolution:
         raise MismatchError(
             f"config resolution {config.resolution} does not match dataset "
@@ -147,9 +145,6 @@ def cmd_train(args, argv: list) -> int:
     manifest = read_manifest(args.data)
     config, train_settings = _assemble_model_config(args, manifest)
     out = _prepare_out(args.out, args.force)
-    steps = int(train_settings.get("steps", args.steps))
-    lr = float(train_settings.get("learning_rate", args.lr))
-    val_every = int(train_settings.get("val_every", args.val_every))
     if config.variant == "single_view":
         print("note: single_view keeps no sequence state; views are completed "
               "independently")
@@ -157,11 +152,12 @@ def cmd_train(args, argv: list) -> int:
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
         raise MismatchError(f"dataset {args.data} has no train split")
-    result = train(config, train_data, val_data, steps,
+    result = train(config, train_data, val_data, int(train_settings["steps"]),
                    checkpoint_path=out / "checkpoint.mvpc",
                    metrics_path=out / "metrics.csv",
-                   learning_rate=lr, val_every=val_every)
-    _write_provenance(out, argv, args.seed, config.to_dict())
+                   learning_rate=float(train_settings["learning_rate"]),
+                   val_every=int(train_settings["val_every"]))
+    _write_provenance(out, argv, config.seed, config.to_dict())
     print(f"trained {config.variant} ({result.model.parameter_count} parameters) "
           f"for {result.steps_run} steps")
     if np.isfinite(result.best_val_jaccard):
@@ -256,13 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--heads", type=int, default=None)
     tr.add_argument("--channels", default=None, help="comma-separated conv channels")
     tr.add_argument("--res", type=int, default=None)
-    tr.add_argument("--steps", type=int, default=500)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--val-every", type=int, dest="val_every", default=100)
+    tr.add_argument("--steps", type=int, default=None,
+                    help=f"optimizer steps (default {TRAIN_DEFAULTS['steps']})")
+    tr.add_argument("--lr", type=float, default=None,
+                    help=f"Adam learning rate (default {TRAIN_DEFAULTS['learning_rate']})")
+    tr.add_argument("--val-every", type=int, dest="val_every", default=None,
+                    help=f"steps between validations (default {TRAIN_DEFAULTS['val_every']})")
     tr.add_argument("--config", default=None, help="JSON config file")
     tr.add_argument("--set", action="append", default=[],
                     help="override a config key, e.g. --set latent_dim=64")
-    tr.add_argument("--seed", type=int, default=_default_seed())
+    tr.add_argument("--seed", type=int, default=None,
+                    help="random seed (default $MVP_SEED, else 0)")
     tr.add_argument("--force", action="store_true")
     tr.set_defaults(func=cmd_train)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
-from .voxel import PointCloud, VoxelGrid
+from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid
 
 _DEGENERATE_AREA = 1e-18  # m^2; only exact duplicates fall below this
 
@@ -45,21 +45,19 @@ class Mesh:
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
-def marching_cubes(grid: VoxelGrid, isolevel: float = 0.5) -> Mesh:
-    """Extract the isolevel surface of a [0, 1] occupancy field.
+def marching_cubes(grid: VoxelGrid) -> Mesh:
+    """Extract the OCCUPANCY_THRESHOLD surface of a [0, 1] occupancy field.
 
     Standard 256-configuration tables with linear interpolation along lattice
     edges. An all-zero or all-one grid yields an empty mesh.
     """
-    if not (0.0 < isolevel < 1.0):
-        raise ValueError(f"isolevel must lie strictly inside (0, 1), got {isolevel}")
     r = grid.resolution
     field = np.zeros((r + 2,) * 3)
     field[1:-1, 1:-1, 1:-1] = grid.values
     # lattice point (i,j,k) sits at the center of padded voxel (i,j,k)
     base = grid.origin[:, None] + (np.arange(r + 2)[None, :] - 0.5) * grid.voxel_size
 
-    inside = field > isolevel
+    inside = field > OCCUPANCY_THRESHOLD
     if not inside.any() or inside.all():
         return Mesh.empty()
 
@@ -68,8 +66,8 @@ def marching_cubes(grid: VoxelGrid, isolevel: float = 0.5) -> Mesh:
     case = np.zeros((n, n, n), dtype=np.int32)
     for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
         case |= inside[ox : ox + n, oy : oy + n, oz : oz + n].astype(np.int32) << bit
-    edge_lut = np.asarray(EDGE_TABLE, dtype=np.int32)
-    active = np.argwhere(edge_lut[case] != 0)
+    # a cube is crossed by the surface unless all 8 corners agree
+    active = np.argwhere((case != 0) & (case != 255))
 
     vertices: list[np.ndarray] = []
     vertex_ids: dict[tuple, int] = {}
@@ -87,7 +85,7 @@ def marching_cubes(grid: VoxelGrid, isolevel: float = 0.5) -> Mesh:
         if vid is not None:
             return vid
         va, vb = field[pa], field[pb]
-        t = (isolevel - va) / (vb - va)
+        t = (OCCUPANCY_THRESHOLD - va) / (vb - va)
         pos = np.array([base[0, pa[0]], base[1, pa[1]], base[2, pa[2]]])
         pos[axis] += t * grid.voxel_size
         vid = len(vertices)

@@ -21,26 +21,26 @@ import numpy as np
 
 from .marching import marching_cubes, sample_surface_points, write_off
 from .model import MvpModel, stream_predictions
-from .voxel import PointCloud, VoxelGrid, write_pgm_slice, write_vxg
+from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid, write_pgm_slice, write_vxg
 
 DEFAULT_SURFACE_SAMPLES = 2048
 DEFAULT_THRESHOLD_FRACTION = 0.01
 
 
-def jaccard_values(a: np.ndarray, b: np.ndarray, bin_threshold: float = 0.5) -> float:
+def jaccard_values(a: np.ndarray, b: np.ndarray) -> float:
     """|A and B| / |A or B| on binarized arrays; two empties count as identical."""
-    av = a > bin_threshold
-    bv = b > bin_threshold
+    av = a > OCCUPANCY_THRESHOLD
+    bv = b > OCCUPANCY_THRESHOLD
     union = np.logical_or(av, bv).sum()
     if union == 0:
         return 1.0
     return float(np.logical_and(av, bv).sum() / union)
 
 
-def jaccard(a: VoxelGrid, b: VoxelGrid, bin_threshold: float = 0.5) -> float:
+def jaccard(a: VoxelGrid, b: VoxelGrid) -> float:
     if a.resolution != b.resolution:
         raise ValueError(f"resolution mismatch: {a.resolution} vs {b.resolution}")
-    return jaccard_values(a.values, b.values, bin_threshold)
+    return jaccard_values(a.values, b.values)
 
 
 def _min_dists(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> np.ndarray:
@@ -132,7 +132,7 @@ class MetricReport:
 
 
 def _surface_cloud(grid: VoxelGrid, n_points: int, seed: int) -> PointCloud | None:
-    mesh = marching_cubes(grid, isolevel=0.5)
+    mesh = marching_cubes(grid)
     if mesh.is_empty():
         return None
     return sample_surface_points(mesh, n_points, seed)
@@ -179,7 +179,7 @@ def _export_frame(out: Path, seq_id: str, i: int, pred: VoxelGrid, target: Voxel
         write_vxg(pred, out / f"{seq_id}_{i}_pred.vxg")
         write_vxg(target, out / f"{seq_id}_{i}_gt.vxg")
     if "meshes" in export:
-        mesh = marching_cubes(pred, isolevel=0.5)
+        mesh = marching_cubes(pred)
         if not mesh.is_empty():
             write_off(mesh, out / f"{seq_id}_{i}_pred.off")
     if "slices" in export:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -50,6 +50,7 @@ ENC_KERNEL, ENC_STRIDE, ENC_PAD = 3, 2, 1
 DEC_KERNEL, DEC_STRIDE, DEC_PAD = 4, 2, 1
 RMS_EPS = 1e-6
 BCE_EPS = 1e-7
+MLP_RATIO = 2  # block MLP hidden width, in multiples of latent_dim
 OUTPUT_BIAS_INIT = -2.0  # sparse-occupancy prior on the sigmoid head
 
 
@@ -69,10 +70,8 @@ class ModelConfig:
     performer_layers: int = 2
     attention_heads: int = 1
     conv_channels: tuple = (8, 16, 32)
-    mlp_ratio: int = 2
     train_views: int = 12
     max_views: int = 64              # positional-encoding table length
-    share_towers: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -139,8 +138,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ModelConfig":
-        raw = dict(raw)
-        raw["conv_channels"] = tuple(raw["conv_channels"])
+        """Validated config from a flat dict; unknown keys are named in the error."""
+        unknown = set(raw) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**raw).validate()
 
 
@@ -233,8 +234,7 @@ def build_model(config: ModelConfig) -> MvpModel:
     def add(name: str, value: np.ndarray):
         params[name] = Tensor(value, requires_grad=True)
 
-    towers = ("frame",) if config.share_towers else ("frame", "ctx")
-    for tower in towers:
+    for tower in ("frame", "ctx"):
         in_ch = 1
         for li, out_ch in enumerate(config.conv_channels):
             add(f"{tower}.conv{li}",
@@ -243,7 +243,7 @@ def build_model(config: ModelConfig) -> MvpModel:
         add(f"{tower}.dense.w", _he(rng, (config.bottleneck_flat, d), config.bottleneck_flat))
         add(f"{tower}.dense.b", np.zeros(d))
 
-    hidden = config.mlp_ratio * d
+    hidden = MLP_RATIO * d
     for l in range(config.performer_layers):
         add(f"blk{l}.norm1.scale", np.ones(d))
         if config.variant in ("mvp", "mvt"):
@@ -286,19 +286,14 @@ def build_model(config: ModelConfig) -> MvpModel:
 # ---------------------------------------------------------------------------
 
 
-def _tower_prefix(model: MvpModel, tower: str) -> str:
-    return "frame" if model.config.share_towers else tower
-
-
 def _encode(model: MvpModel, tower: str, values: np.ndarray) -> Tensor:
     """(L, r, r, r) frames -> (L, latent_dim) embeddings."""
     cfg = model.config
-    prefix = _tower_prefix(model, tower)
     x = Tensor(values[:, None])
     for li in range(len(cfg.conv_channels)):
-        x = conv3d(x, model.params[f"{prefix}.conv{li}"], ENC_STRIDE, ENC_PAD).relu()
+        x = conv3d(x, model.params[f"{tower}.conv{li}"], ENC_STRIDE, ENC_PAD).relu()
     flat = x.reshape(len(values), cfg.bottleneck_flat)
-    return (flat @ model.params[f"{prefix}.dense.w"] + model.params[f"{prefix}.dense.b"]).relu()
+    return (flat @ model.params[f"{tower}.dense.w"] + model.params[f"{tower}.dense.b"]).relu()
 
 
 def _decode(model: MvpModel, embedding: Tensor) -> Tensor:

@@ -39,7 +39,9 @@ TWO_OBJECT_PROTOCOLS = ("two_object_pan", "slide_behind")
 DEFAULT_EXTENT = 0.30       # world edge of the voxel grid cube, meters
 DEFAULT_VIEWS = 12
 DEFAULT_IMAGE_SIZE = 64     # depth image is image_size x image_size rays
-DEFAULT_FOV_DEG = 50.0
+FOV_DEG = 50.0              # full field of view of the square depth image
+RAY_NEAR, RAY_FAR = 0.05, 1.5  # ray-march range from the camera, meters
+REFINE_ITERS = 30           # bisection steps per hit after the march
 PAN_RADIUS = 0.5            # horizontal pan circle radius, meters
 PAN_HEIGHT = 0.25           # circle height above the centroid plane
 FIXED_CAM_DISTANCE = 0.55   # fixed-camera protocols: standoff from centroid
@@ -82,10 +84,8 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
 
 
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
-                      image_size: int = DEFAULT_IMAGE_SIZE,
-                      fov_deg: float = DEFAULT_FOV_DEG,
-                      t_range: tuple = (0.05, 1.5), step: float = 0.004,
-                      refine_iters: int = 30) -> PointCloud:
+                      image_size: int = DEFAULT_IMAGE_SIZE, step: float = 0.004
+                      ) -> PointCloud:
     """First-hit surface points of a pinhole raycast, in the camera frame.
 
     One ray per pixel; ray marching at ``step`` followed by bisection, so hit
@@ -95,7 +95,7 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     if any(obj.contains(pose.position[None, :])[0] for obj in objects):
         raise ValueError("camera position lies inside an object")
     w = image_size
-    focal = (w / 2.0) / np.tan(np.radians(fov_deg) / 2.0)
+    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
     px = (np.arange(w) + 0.5 - w / 2.0) / focal
     u, v = np.meshgrid(px, px, indexing="xy")
     dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
@@ -108,11 +108,10 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
             mask |= obj.contains(points)
         return mask
 
-    t_lo, t_hi = t_range
     n_rays = len(dirs_world)
     hit_t = np.full(n_rays, -1.0)
     alive = np.ones(n_rays, dtype=bool)
-    for t in np.arange(t_lo, t_hi, step):
+    for t in np.arange(RAY_NEAR, RAY_FAR, step):
         if not alive.any():
             break
         pts = pose.position + t * dirs_world[alive]
@@ -127,7 +126,7 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     lo = hit_t[hit] - step
     hi = hit_t[hit].copy()
     d = dirs_world[hit]
-    for _ in range(refine_iters):
+    for _ in range(REFINE_ITERS):
         mid = 0.5 * (lo + hi)
         m = inside(pose.position + mid[:, None] * d)
         hi = np.where(m, mid, hi)

@@ -16,6 +16,7 @@ import numpy as np
 
 VXG_MAGIC = b"VXG1"
 MAX_RESOLUTION = 4096
+OCCUPANCY_THRESHOLD = 0.5  # a voxel is occupied when its score exceeds this
 
 
 class VxgError(Exception):
@@ -55,12 +56,11 @@ class VoxelGrid:
     def zeros(cls, resolution: int, origin, voxel_size: float) -> "VoxelGrid":
         return cls(np.zeros((resolution,) * 3), origin, voxel_size)
 
-    def binarize(self, threshold: float = 0.5) -> "VoxelGrid":
-        return VoxelGrid((self.values > threshold).astype(np.float64),
-                         self.origin, self.voxel_size)
+    def binarize(self) -> "VoxelGrid":
+        return VoxelGrid(self.occupancy().astype(np.float64), self.origin, self.voxel_size)
 
-    def occupancy(self, threshold: float = 0.5) -> np.ndarray:
-        return self.values > threshold
+    def occupancy(self) -> np.ndarray:
+        return self.values > OCCUPANCY_THRESHOLD
 
     def voxel_centers(self) -> np.ndarray:
         """World positions of all voxel centers, shape (r^3, 3), x fastest."""

@@ -112,7 +112,8 @@ def test_single_frame_query_returns_value_exactly():
     v = rng.standard_normal(4)
     memory_update(mem, k, v)
     q = np.abs(rng.standard_normal(3)) + 0.1  # phi(q).phi(k) > 0
-    np.testing.assert_allclose(memory_query(mem, q), v, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(memory_query(mem, q, fallback=np.zeros(4)), v,
+                               rtol=0, atol=1e-14)
 
 
 def test_two_equal_keys_query_returns_mean():
@@ -123,7 +124,8 @@ def test_two_equal_keys_query_returns_mean():
     v2 = np.array([0.0, 4.0, -2.0])
     memory_update(mem, k, v1)
     memory_update(mem, k, v2)
-    np.testing.assert_allclose(memory_query(mem, k), (v1 + v2) / 2, atol=1e-14)
+    np.testing.assert_allclose(memory_query(mem, k, fallback=np.zeros(3)), (v1 + v2) / 2,
+                               atol=1e-14)
 
 
 def test_weighted_two_frame_retrieval_hand_case():
@@ -134,7 +136,7 @@ def test_weighted_two_frame_retrieval_hand_case():
     v2 = np.array([-3.0, 0.5])
     memory_update(mem, np.array([1.0, 0.0]), v1)
     memory_update(mem, np.array([0.0, 1.0]), v2)
-    got = memory_query(mem, np.array([2.0, 1.0]))
+    got = memory_query(mem, np.array([2.0, 1.0]), fallback=np.zeros(2))
     np.testing.assert_allclose(got, (2 * v1 + v2) / 3, atol=1e-14)
 
 
@@ -165,7 +167,7 @@ def test_non_finite_update_rejected_memory_unmodified():
 def test_query_of_empty_memory_rejected():
     mem = AssociativeMemory.fresh(feature_map("relu", d_qk=2), d=2)
     with pytest.raises(ValueError, match="empty"):
-        memory_query(mem, np.ones(2))
+        memory_query(mem, np.ones(2), fallback=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """End-to-end CLI runs on tiny datasets (in-process, exit-code contracts)."""
 
+import csv
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -165,6 +168,37 @@ def test_config_file_and_set_overrides(tmp_path):
     assert model.config.performer_layers == 2  # --set beats file
     assert model.config.latent_dim == 16       # file beats defaults
     assert model.config.variant == "lstm"      # flag beats both
+
+
+def test_training_flags_beat_set_overrides(tmp_path):
+    data = gen(tmp_path)
+    run = tmp_path / "steps"
+    assert main(["train", "--data", data, "--out", str(run), "--variant", "mvp",
+                 *TINY_TRAIN, "--set", "steps=1", "--steps", "2",
+                 "--set", "seed=1", "--seed", "2"]) == 0
+    with open(run / "metrics.csv") as f:
+        train_rows = [r for r in csv.DictReader(f) if r["split"] == "train"]
+    assert len(train_rows) == 2
+    assert load_model(run / "checkpoint.mvpc").config.seed == 2
+
+
+def test_eval_checkpoint_with_unknown_config_key_exits_3(tmp_path, capsys):
+    data = gen(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--out", str(run), "--variant", "mvp",
+                 *TINY_TRAIN, "--steps", "1"]) == 0
+    blob = (run / "checkpoint.mvpc").read_bytes()[:-4]
+    (cfg_len,) = struct.unpack_from("<I", blob, 8)
+    cfg = json.loads(blob[12 : 12 + cfg_len])
+    cfg["dropout"] = 0.1
+    cfg_json = json.dumps(cfg, sort_keys=True).encode()
+    blob = blob[:8] + struct.pack("<I", len(cfg_json)) + cfg_json + blob[12 + cfg_len :]
+    bad = tmp_path / "bad.mvpc"
+    bad.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+    code = main(["eval", "--checkpoint", str(bad), "--data", data,
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert "dropout" in capsys.readouterr().err
 
 
 def test_mvp_seed_env_var_used_as_default(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from shapestream.marching import (
     sample_surface_points,
     write_off,
 )
+from shapestream.mc_tables import TRI_TABLE
 from shapestream.voxel import VoxelGrid
 
 RNG = np.random.default_rng
@@ -20,6 +21,14 @@ RNG = np.random.default_rng
 
 def _grid(values: np.ndarray, voxel_size: float = 0.01) -> VoxelGrid:
     return VoxelGrid(values, origin=(0.0, 0.0, 0.0), voxel_size=voxel_size)
+
+
+def test_only_uniform_cubes_have_no_triangles():
+    # marching_cubes visits exactly the cubes whose case is neither 0 nor 255,
+    # so every other case must carry triangles
+    assert len(TRI_TABLE) == 256
+    for case, tri_edges in enumerate(TRI_TABLE):
+        assert (len(tri_edges) > 0) == (case not in (0, 255)), case
 
 
 def test_all_zero_grid_gives_empty_mesh():
@@ -88,13 +97,6 @@ def test_every_edge_shared_by_exactly_two_triangles():
     assert counts == {2}
 
 
-def test_isolevel_must_be_interior():
-    with pytest.raises(ValueError, match="isolevel"):
-        marching_cubes(_grid(np.zeros((4, 4, 4))), isolevel=0.0)
-    with pytest.raises(ValueError, match="isolevel"):
-        marching_cubes(_grid(np.zeros((4, 4, 4))), isolevel=1.0)
-
-
 def test_no_degenerate_triangles_on_graded_field():
     rng = RNG(1)
     values = rng.random((10, 10, 10))
@@ -107,7 +109,7 @@ def test_interpolation_puts_vertices_between_samples():
     values = np.zeros((4, 4, 4))
     values[1, 1, 1] = 1.0
     h = 0.01
-    mesh = marching_cubes(_grid(values, voxel_size=h), isolevel=0.5)
+    mesh = marching_cubes(_grid(values, voxel_size=h))
     center = np.array([1.5 * h, 1.5 * h, 1.5 * h])
     dists = np.linalg.norm(mesh.vertices - center, axis=1)
     assert np.all(dists <= h * np.sqrt(3) / 2 + 1e-12)

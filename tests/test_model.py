@@ -93,14 +93,6 @@ def test_invalid_variant_and_train_views_rejected():
         build_model(tiny_config(train_views=5))
 
 
-def test_shared_towers_halve_encoder_params():
-    solo = build_model(tiny_config(share_towers=True))
-    dual = build_model(tiny_config(share_towers=False))
-    assert "ctx.dense.w" not in solo.params
-    assert "ctx.dense.w" in dual.params
-    assert solo.parameter_count < dual.parameter_count
-
-
 # ---------------------------------------------------------------------------
 # forward semantics
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ def test_grid_rejects_non_cubic():
 def test_binarization_idempotent():
     rng = RNG(0)
     grid = VoxelGrid(rng.random((8, 8, 8)), (0, 0, 0), 0.1)
-    once = grid.binarize(0.5)
-    twice = once.binarize(0.5)
+    once = grid.binarize()
+    twice = once.binarize()
     np.testing.assert_array_equal(once.values, twice.values)
 
 
