@@ -13,6 +13,8 @@ the first save of a freshly trained float64 model rounds to float32 once.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import zlib
 
@@ -47,8 +49,17 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> Non
             blob += struct.pack("<I", dim)
         blob += data.astype("<f4").tobytes()
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
-    with open(path, "wb") as f:
-        f.write(bytes(blob))
+    # write a sibling, then rename over the target: an interrupted save
+    # leaves the previous checkpoint intact
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(bytes(blob))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
@@ -61,34 +72,47 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         raise CheckpointError("checksum failure: checkpoint payload is corrupted")
     if blob[:4] != CKPT_MAGIC:
         raise CheckpointError(f"bad magic {blob[:4]!r}, expected {CKPT_MAGIC!r}")
-    offset = 4
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    offset, end = 4, len(blob) - 4  # every read stays clear of the trailing CRC
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal offset
+        if n > end - offset:
+            raise CheckpointError(
+                f"truncated checkpoint: {what} needs {n} bytes, {end - offset} left")
+        offset += n
+        return blob[offset - n : offset]
+
+    def unpack(fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    (version,) = unpack("<I", "format version")
     if version != CKPT_VERSION:
         raise CheckpointError(f"unsupported format version {version}, expected {CKPT_VERSION}")
-    (cfg_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    (cfg_len,) = unpack("<I", "config length")
+    cfg_json = take(cfg_len, "config JSON")
     try:
-        config = ModelConfig.from_dict(json.loads(blob[offset : offset + cfg_len].decode()))
+        config = ModelConfig.from_dict(json.loads(cfg_json.decode()))
     except (ValueError, TypeError, KeyError) as err:
         raise CheckpointError(f"embedded model config is invalid: {err}") from err
-    offset += cfg_len
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    (count,) = unpack("<I", "tensor count")
     params: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset : offset + name_len].decode()
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        data = np.frombuffer(blob, dtype="<f4", count=size, offset=offset)
-        offset += 4 * size
-        params[name] = data.astype(np.float64).reshape(shape)
+    for i in range(count):
+        (name_len,) = unpack("<H", f"tensor {i} name length")
+        try:
+            name = take(name_len, f"tensor {i} name").decode()
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"tensor {i} name is not UTF-8") from err
+        if name in params:
+            raise CheckpointError(f"duplicate tensor {name!r}")
+        (ndim,) = unpack("<B", f"tensor {name!r} ndim")
+        shape = unpack(f"<{ndim}I", f"tensor {name!r} shape")
+        payload = take(4 * math.prod(shape), f"tensor {name!r} payload")
+        try:
+            params[name] = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(shape)
+        except ValueError as err:  # more dimensions than numpy supports
+            raise CheckpointError(f"tensor {name!r} shape {shape}: {err}") from err
+    if offset != end:
+        raise CheckpointError(f"{end - offset} trailing bytes after the last tensor")
     return config, params
 
 

@@ -3,7 +3,8 @@
 Every command is reproducible: outputs are fully determined by the command
 line, the config and the seed, and each output directory carries a
 machine-readable provenance record. Exit codes: 0 success, 2 usage error,
-3 data/config mismatch, 4 numeric failure (aborted training).
+3 data/config mismatch or a malformed .vxg/checkpoint file, 4 numeric
+failure (aborted training).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, build_manifest, read_manifest, \
     read_sequence_grids, write_dataset
 from .train import TrainingDiverged, train
+from .voxel import VxgError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -117,7 +119,11 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
     settings: dict = {"resolution": manifest.resolution, "seed": _default_seed(),
                       **TRAIN_DEFAULTS}
     if args.config:
-        settings.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
+        settings.update(loaded)
     settings.update(_parse_set_overrides(args.set))
     flag_map = {
         "variant": args.variant, "train_views": args.train_views,
@@ -307,7 +313,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MismatchError, FileNotFoundError) as err:
+    except (MismatchError, FileNotFoundError, VxgError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as err:

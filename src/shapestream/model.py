@@ -27,11 +27,14 @@ mvt use the parallel form of causal attention and lstm starts from zeros.
 the recurrent memory for mvp (constant size), the stored key/value history
 for mvt (growing) and (h, c) for lstm. Both produce the same numbers;
 ``stream_predictions`` runs ``forward_step`` over a whole sequence.
+Positional encodings are computed on demand, so a stream may run for any
+number of frames; ``max_views`` bounds only the length of one unrolled pass.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, asdict
 
@@ -59,6 +62,10 @@ OUTPUT_BIAS_INIT = -2.0  # sparse-occupancy prior on the sigmoid head
 # ---------------------------------------------------------------------------
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     variant: str = "mvp"
@@ -71,13 +78,24 @@ class ModelConfig:
     attention_heads: int = 1
     conv_channels: tuple = (8, 16, 32)
     train_views: int = 12
-    max_views: int = 64              # positional-encoding table length
+    max_views: int = 64              # longest sequence of one unrolled pass
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
+        if isinstance(self.conv_channels, list):
+            object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not _is_int(value):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "str" and not isinstance(value, str):
+                raise ValueError(f"{f.name} must be a string, got {value!r}")
+        if not (isinstance(self.conv_channels, tuple)
+                and all(_is_int(c) and c >= 1 for c in self.conv_channels)):
+            raise ValueError(f"conv_channels must be a list of positive integers, "
+                             f"got {self.conv_channels!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.train_views not in TRAIN_VIEW_CHOICES:
@@ -145,9 +163,10 @@ class ModelConfig:
         return cls(**raw).validate()
 
 
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    """Fixed sin/cos table over frame index, shape (length, dim)."""
-    pos = np.arange(length)[:, None]
+def sinusoidal_positions(start: int, length: int, dim: int) -> np.ndarray:
+    """Fixed sin/cos encodings of frame indices start..start+length-1, shape
+    (length, dim); the formula holds for any index, so streams are unbounded."""
+    pos = np.arange(start, start + length)[:, None]
     idx = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, (2 * (idx // 2)) / dim)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
@@ -165,7 +184,6 @@ class MvpModel:
     def __init__(self, config: ModelConfig, params: dict[str, Tensor]):
         self.config = config
         self.params = params
-        self.pos_table = sinusoidal_positions(config.max_views, config.latent_dim)
         self.fmaps = config.feature_maps()
 
     @property
@@ -409,8 +427,8 @@ def _forward(model: MvpModel, values: np.ndarray, start: int,
     frames alone; with it, the frames continue the streamed sequence and the
     state absorbs them.
     """
-    tokens = (_encode(model, "ctx", values)
-              + Tensor(model.pos_table[start : start + len(values)]))
+    positions = sinusoidal_positions(start, len(values), model.config.latent_dim)
+    tokens = _encode(model, "ctx", values) + Tensor(positions)
     return _decode(model, _encode(model, "frame", values) + _blocks(model, tokens, state))
 
 
@@ -424,7 +442,8 @@ def _frame_values(frame) -> np.ndarray:
 
 
 def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
-    """Gradient-tracked predictions for every frame of a sequence."""
+    """Gradient-tracked predictions for every frame of a sequence of at most
+    ``max_views`` frames."""
     cfg = model.config
     if not frames:
         raise ValueError("empty sequence")
@@ -450,8 +469,6 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     if frame.resolution != cfg.resolution:
         raise ValueError(f"frame resolution {frame.resolution} does not match "
                          f"model resolution {cfg.resolution}")
-    if state.frame_index >= cfg.max_views:
-        raise ValueError(f"sequence exceeds max_views {cfg.max_views}")
     with no_grad():
         pred = _forward(model, frame.values[None], state.frame_index, state)
     state.frame_index += 1

@@ -15,11 +15,6 @@ import numpy as np
 OBJECT_KINDS = ("box", "sphere", "cylinder", "lshape", "union")
 
 
-def rotation_about_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     """Uniform rotation from a normalized random quaternion."""
     q = rng.standard_normal(4)

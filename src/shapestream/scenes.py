@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .objects import OBJECT_KINDS, SolidObject, gen_object, rotation_about_z
+from .objects import OBJECT_KINDS, SolidObject, gen_object
 from .voxel import PointCloud, VoxelGrid, read_vxg, voxelize, write_vxg
 
 PROTOCOLS = ("camera_pan", "two_object_pan", "object_hiding", "object_reveal",

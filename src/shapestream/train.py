@@ -26,7 +26,6 @@ from .model import (
     stream_predictions,
 )
 from .optim import AdamState, adam_update, gradients_of, zero_gradients
-from .voxel import VoxelGrid
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +46,6 @@ class TrainResult:
     model: MvpModel | None = None
 
 
-def _values(grid) -> np.ndarray:
-    return grid.values if isinstance(grid, VoxelGrid) else np.asarray(grid, dtype=np.float64)
-
-
 def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
     p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
     return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
@@ -58,16 +53,15 @@ def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
 
 def evaluate_sequences(model: MvpModel, sequences: list, views: int | None = None
                        ) -> tuple[float, float]:
-    """(mean BCE, mean Jaccard) over sequences via the streaming path."""
+    """(mean BCE, mean Jaccard) over sequences of VoxelGrid frames and
+    targets via the streaming path."""
     losses, jaccards = [], []
     for frames, targets in sequences:
         if views is not None:
             frames, targets = frames[:views], targets[:views]
-        grids = [f if isinstance(f, VoxelGrid) else VoxelGrid(_values(f), np.zeros(3), 1.0)
-                 for f in frames]
-        for pred, target in zip(stream_predictions(model, grids), targets):
-            losses.append(_mean_bce(pred.values, _values(target)))
-            jaccards.append(jaccard_values(pred.values, _values(target)))
+        for pred, target in zip(stream_predictions(model, frames), targets):
+            losses.append(_mean_bce(pred.values, target.values))
+            jaccards.append(jaccard_values(pred.values, target.values))
     return float(np.mean(losses)), float(np.mean(jaccards))
 
 
@@ -77,8 +71,9 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
           ) -> TrainResult:
     """Shuffled single-sequence Adam steps on the BCE objective.
 
-    ``train_data`` / ``val_data`` are lists of (frames, targets) pairs. The
-    trained model, metrics rows and the retained checkpoint are returned.
+    ``train_data`` / ``val_data`` are lists of (frames, targets) pairs of
+    VoxelGrid lists. The trained model, metrics rows and the retained
+    checkpoint are returned.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -112,7 +107,7 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
         targets = targets[: config.train_views]
 
         preds = sequence_predictions(model, frames)
-        target_values = [_values(t) for t in targets]
+        target_values = [t.values for t in targets]
         loss_t = bce_from_predictions(preds, target_values)
         loss = loss_t.item()
 

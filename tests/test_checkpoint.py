@@ -1,8 +1,12 @@
 """Checkpoint wire format: round trips, integrity, config verification."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from shapestream import checkpoint
 from shapestream.checkpoint import (
     CheckpointError,
     load_checkpoint,
@@ -60,7 +64,6 @@ def test_flipped_byte_fails_checksum(tmp_path):
 def test_bad_magic_reported(tmp_path):
     path = tmp_path / "m.mvpc"
     blob = bytearray(b"XXXX" + b"\0" * 32)
-    import zlib, struct
     blob += struct.pack("<I", zlib.crc32(bytes(blob)))
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="magic"):
@@ -75,3 +78,93 @@ def test_weights_stored_as_float32(tmp_path):
     for name, arr in arrays.items():
         np.testing.assert_array_equal(
             arr, model.params[name].data.astype(np.float32).astype(np.float64))
+
+
+def _saved_body(tmp_path) -> bytes:
+    """A tiny model's checkpoint without its trailing CRC."""
+    model = build_model(tiny_config())
+    path = tmp_path / "m.mvpc"
+    save_checkpoint(path, model.config, model.params)
+    return path.read_bytes()[:-4]
+
+
+def _write_with_crc(path, body: bytes):
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+def _tensor_count_offset(body: bytes) -> int:
+    (cfg_len,) = struct.unpack_from("<I", body, 8)
+    return 12 + cfg_len
+
+
+def test_tensor_count_one_too_high_is_checkpoint_error(tmp_path):
+    body = bytearray(_saved_body(tmp_path))
+    at = _tensor_count_offset(body)
+    (count,) = struct.unpack_from("<I", body, at)
+    struct.pack_into("<I", body, at, count + 1)
+    with pytest.raises(CheckpointError, match="truncated checkpoint"):
+        load_checkpoint(_write_with_crc(tmp_path / "bad.mvpc", bytes(body)))
+
+
+def test_truncated_record_is_checkpoint_error(tmp_path):
+    body = _saved_body(tmp_path)
+    first_record = _tensor_count_offset(body) + 4
+    # cuts through the first record's name length, name, ndim, shape and
+    # payload, and one byte short of the end
+    for cut in [*range(first_record, first_record + 40), len(body) - 1]:
+        with pytest.raises(CheckpointError, match="truncated checkpoint"):
+            load_checkpoint(_write_with_crc(tmp_path / "bad.mvpc", body[:cut]))
+
+
+def test_trailing_bytes_are_checkpoint_error(tmp_path):
+    body = _saved_body(tmp_path)
+    with pytest.raises(CheckpointError, match="trailing bytes"):
+        load_checkpoint(_write_with_crc(tmp_path / "bad.mvpc", body + b"\0\0"))
+
+
+def test_duplicate_tensor_name_is_checkpoint_error(tmp_path):
+    body = _saved_body(tmp_path).replace(b"frame.conv1", b"frame.conv0")
+    with pytest.raises(CheckpointError, match="duplicate tensor 'frame.conv0'"):
+        load_checkpoint(_write_with_crc(tmp_path / "bad.mvpc", body))
+
+
+def test_tensor_with_more_dims_than_numpy_is_checkpoint_error(tmp_path):
+    body = _saved_body(tmp_path)
+    end_of_name = body.index(b"dec.out_bias") + len(b"dec.out_bias")
+    # the scalar's ndim 0 becomes 65 dimensions of size 1; payload unchanged
+    body = (body[:end_of_name] + struct.pack("<B65I", 65, *[1] * 65)
+            + body[end_of_name + 1 :])
+    with pytest.raises(CheckpointError, match="'dec.out_bias' shape"):
+        load_checkpoint(_write_with_crc(tmp_path / "bad.mvpc", body))
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = build_model(tiny_config())
+    path = tmp_path / "m.mvpc"
+    save_checkpoint(path, model.config, model.params)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+    monkeypatch.setattr(checkpoint, "open",
+                        lambda *args, **kwargs: HalfWriter(open(*args, **kwargs)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, model.config, build_model(tiny_config(seed=1)).params)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    load_checkpoint(path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mvpc"]

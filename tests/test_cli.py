@@ -182,23 +182,75 @@ def test_training_flags_beat_set_overrides(tmp_path):
     assert load_model(run / "checkpoint.mvpc").config.seed == 2
 
 
-def test_eval_checkpoint_with_unknown_config_key_exits_3(tmp_path, capsys):
-    data = gen(tmp_path)
+def _trained_checkpoint_with_config(tmp_path, data, **changes):
+    """Train one step, then rewrite the checkpoint's embedded config with
+    ``changes`` and recompute the CRC."""
     run = tmp_path / "run"
     assert main(["train", "--data", data, "--out", str(run), "--variant", "mvp",
                  *TINY_TRAIN, "--steps", "1"]) == 0
     blob = (run / "checkpoint.mvpc").read_bytes()[:-4]
     (cfg_len,) = struct.unpack_from("<I", blob, 8)
     cfg = json.loads(blob[12 : 12 + cfg_len])
-    cfg["dropout"] = 0.1
+    cfg.update(changes)
     cfg_json = json.dumps(cfg, sort_keys=True).encode()
     blob = blob[:8] + struct.pack("<I", len(cfg_json)) + cfg_json + blob[12 + cfg_len :]
     bad = tmp_path / "bad.mvpc"
     bad.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
-    code = main(["eval", "--checkpoint", str(bad), "--data", data,
+    return str(bad)
+
+
+def test_eval_checkpoint_with_unknown_config_key_exits_3(tmp_path, capsys):
+    data = gen(tmp_path)
+    bad = _trained_checkpoint_with_config(tmp_path, data, dropout=0.1)
+    code = main(["eval", "--checkpoint", bad, "--data", data,
                  "--out", str(tmp_path / "e")])
     assert code == 3
     assert "dropout" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_float_config_value_exits_3(tmp_path, capsys):
+    data = gen(tmp_path)
+    bad = _trained_checkpoint_with_config(tmp_path, data, latent_dim=16.0)
+    code = main(["eval", "--checkpoint", bad, "--data", data,
+                 "--out", str(tmp_path / "e")])
+    assert code == 3
+    assert "latent_dim must be an integer" in capsys.readouterr().err
+
+
+def test_train_float_config_value_exits_2(tmp_path, capsys):
+    data = gen(tmp_path)
+    code = main(["train", "--data", data, "--out", str(tmp_path / "run"),
+                 "--steps", "1", "--set", "latent_dim=16.0"])
+    assert code == 2
+    assert "latent_dim must be an integer" in capsys.readouterr().err
+
+
+def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
+    data = gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    code = main(["train", "--data", data, "--out", str(tmp_path / "run"),
+                 "--config", str(cfg)])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage,message", [("truncated", "truncated payload"),
+                                            ("bad_magic", "bad magic")])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, message):
+    data = gen(tmp_path)
+    for path in (tmp_path / "data").glob("*_0_in.vxg"):  # frame 0 of every split
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-1] if damage == "truncated" else b"XXXX" + blob[4:])
+    if command == "train":
+        argv = ["train", "--data", data, "--out", str(tmp_path / "run"), *TINY_TRAIN,
+                "--steps", "1"]
+    else:
+        argv = ["eval", "--checkpoint", "oracle", "--data", data,
+                "--out", str(tmp_path / "ev")]
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_mvp_seed_env_var_used_as_default(tmp_path, monkeypatch):

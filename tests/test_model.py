@@ -93,6 +93,16 @@ def test_invalid_variant_and_train_views_rejected():
         build_model(tiny_config(train_views=5))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("latent_dim", 16.0), ("resolution", "8"), ("performer_layers", True),
+    ("seed", 0.5), ("variant", 1), ("kernel", None),
+    ("conv_channels", (2, 4.0)), ("conv_channels", (2, 0)), ("conv_channels", 4),
+])
+def test_config_field_of_wrong_type_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: value}).validate()
+
+
 # ---------------------------------------------------------------------------
 # forward semantics
 # ---------------------------------------------------------------------------
@@ -149,6 +159,26 @@ def test_mvp_state_size_constant_mvt_state_grows():
         _, state = forward_step(mvt, state, frame)
         sizes.append(state.nbytes)
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
+
+
+def test_mvp_streams_past_max_views_with_constant_state():
+    """1000 streamed frames: no position limit, constant memory, outputs in
+    (0, 1) and equal to one unrolled pass over the same frames. max_views
+    bounds only the unrolled pass and leaves the weights unchanged."""
+    model = build_model(tiny_config("mvp", kernel="relu"))
+    assert model.config.max_views < 1000
+    values, _ = random_frames(1000, seed=6)
+    unrolled = sequence_predictions(
+        build_model(tiny_config("mvp", kernel="relu", max_views=1000)), values)
+    state = model.init_state()
+    sizes = set()
+    for i, frame in enumerate(as_grids(values)):
+        pred, state = forward_step(model, state, frame)
+        sizes.add(state.nbytes)
+        assert np.all(np.isfinite(pred.values))
+        assert np.all(pred.values > 0.0) and np.all(pred.values < 1.0)
+        np.testing.assert_allclose(pred.values, unrolled[i].data, rtol=0, atol=1e-9)
+    assert len(sizes) == 1
 
 
 def test_state_variant_mismatch_rejected():

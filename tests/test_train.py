@@ -63,10 +63,10 @@ def test_best_validation_checkpoint_retained(tmp_path):
     assert abs(jacc - best_row[3]) < 1e-3
 
 
-def test_training_declining_loss_on_overfit_smoke():
+def test_training_declining_loss_on_overfit_smoke(tmp_path):
     config = tiny_config()
     data = toy_dataset(n_seqs=1)
-    result = train(config, data, [], steps=30, checkpoint_path="/tmp/_smoke.mvpc",
+    result = train(config, data, [], steps=30, checkpoint_path=tmp_path / "smoke.mvpc",
                    val_every=1000, learning_rate=3e-3)
     losses = [r[2] for r in result.rows if r[1] == "train"]
     assert losses[-1] < losses[0]
