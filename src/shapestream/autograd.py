@@ -1,17 +1,21 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Float64 throughout. A forward pass records a graph of closures; calling
-``backward()`` on a scalar loss walks it in reverse topological order and
-then frees it, so a graph can be consumed exactly once. The operation set
-is deliberately small: everything a 3D conv encoder/decoder plus a
-kernelized attention block needs, nothing more.
+Float64 throughout. Every op follows one rule: it computes its value and
+states, for each input, a vector-Jacobian product (VJP) mapping the output
+gradient to that input's gradient. ``_child`` records those (input, vjp)
+pairs only when grad mode is on and some input requires grad; otherwise the
+result keeps nothing. Calling ``backward()`` on a scalar loss walks the
+record in reverse topological order, sums each VJP down to its input's
+shape, and then frees the record, so a graph can be consumed exactly once.
+The operation set is deliberately small: everything a 3D conv
+encoder/decoder plus a kernelized attention block needs, nothing more.
 """
 
 from __future__ import annotations
 
 import contextlib
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -50,17 +54,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _child(data: np.ndarray, *inputs) -> "Tensor":
+    """Result of an op over ``(input, vjp)`` pairs, recorded only when
+    grad mode is on and some input requires grad."""
+    out = Tensor(data)
+    if _grad_enabled and any(t.requires_grad for t, _ in inputs):
+        out.requires_grad = True
+        out._inputs = inputs
+    return out
+
+
 class Tensor:
     """N-dimensional float64 value, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_inputs")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._inputs: tuple = ()
 
     # -- basic introspection ------------------------------------------------
 
@@ -84,14 +97,6 @@ class Tensor:
 
     # -- graph plumbing ------------------------------------------------------
 
-    def _make_child(self, data: np.ndarray, parents: Sequence["Tensor"], backward) -> "Tensor":
-        out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward
-        return out
-
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -107,12 +112,12 @@ class Tensor:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if not self.requires_grad:
             raise ValueError("backward on a tensor that does not require grad")
-        if self._backward is None and self._parents == () and self.grad is None:
+        if not self._inputs:
+            if self.grad is not None:
+                raise RuntimeError("backward called twice on the same recorded graph")
             # leaf scalar: nothing to do beyond seeding its own grad
             self.grad = np.ones_like(self.data)
             return
-        if self._backward is None and self._parents == ():
-            raise RuntimeError("backward called twice on the same recorded graph")
 
         topo: list[Tensor] = []
         visited: set[int] = set()
@@ -126,17 +131,17 @@ class Tensor:
                 continue
             visited.add(id(node))
             stack.append((node, True))
-            for parent in node._parents:
+            for parent, _ in node._inputs:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for parent, vjp in node._inputs:
+                if parent.requires_grad:
+                    parent._accumulate(_unbroadcast(vjp(node.grad), parent.shape))
             # free the graph: a consumed node cannot be backpropagated again
-            node._parents = ()
-            node._backward = None
+            node._inputs = ()
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -146,70 +151,32 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.shape))
-
-        return self._make_child(out_data, (self, other), backward)
+        return _child(self.data + other.data, (self, lambda g: g), (other, lambda g: g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(-g)
-
-        return self._make_child(-self.data, (self,), backward)
+        return _child(-self.data, (self, lambda g: -g))
 
     def __sub__(self, other):
         other = self._coerce(other)
-        out_data = self.data - other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.shape))
-
-        return self._make_child(out_data, (self, other), backward)
+        return _child(self.data - other.data, (self, lambda g: g), (other, lambda g: -g))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.shape))
-
-        return self._make_child(out_data, (self, other), backward)
+        return _child(self.data * other.data,
+                      (self, lambda g: g * other.data), (other, lambda g: g * self.data))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data), other.shape)
-                )
-
-        return self._make_child(out_data, (self, other), backward)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        return _child(self.data / other.data,
+                      (self, lambda g: g / other.data),
+                      (other, lambda g: -g * self.data / (other.data * other.data)))
 
     def __matmul__(self, other):
         other = self._coerce(other)
@@ -217,71 +184,43 @@ class Tensor:
             raise ValueError(
                 f"matmul expects 2-D operands, got {self.shape} @ {other.shape}"
             )
-        out_data = self.data @ other.data
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g @ other.data.T)
-            if other.requires_grad:
-                other._accumulate(self.data.T @ g)
-
-        return self._make_child(out_data, (self, other), backward)
+        return _child(self.data @ other.data,
+                      (self, lambda g: g @ other.data.T), (other, lambda g: self.data.T @ g))
 
     # -- shape ops -------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old_shape = self.shape
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.reshape(old_shape))
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(self.data.reshape(shape), (self, lambda g: g.reshape(old_shape)))
 
     @property
     def T(self):
         if self.ndim != 2:
             raise ValueError("T is defined for 2-D tensors only")
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g.T)
-
-        return self._make_child(self.data.T.copy(), (self,), backward)
+        return _child(self.data.T.copy(), (self, lambda g: g.T))
 
     def narrow(self, axis: int, start: int, length: int):
         """Contiguous slice along one axis."""
         index = [slice(None)] * self.ndim
         index[axis] = slice(start, start + length)
         index = tuple(index)
-        out_data = self.data[index].copy()
 
-        def backward(g):
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
-                full[index] = g
-                self._accumulate(full)
+        def vjp(g):
+            full = np.zeros_like(self.data)
+            full[index] = g
+            return full
 
-        return self._make_child(out_data, (self,), backward)
+        return _child(self.data[index].copy(), (self, vjp))
 
     # -- reductions --------------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False):
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        def vjp(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g, self.shape).copy()
 
-        def backward(g):
-            if not self.requires_grad:
-                return
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
-            else:
-                gg = g if keepdims else np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(gg, self.shape).copy())
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
     def mean(self, axis=None, keepdims: bool = False):
         count = self.size if axis is None else self.shape[axis]
@@ -290,75 +229,33 @@ class Tensor:
     # -- elementwise nonlinearities ------------------------------------------------
 
     def relu(self):
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (self.data > 0.0))
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(np.maximum(self.data, 0.0), (self, lambda g: g * (self.data > 0.0)))
 
     def sigmoid(self):
         x = self.data
         out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                             np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data * (1.0 - out_data))
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(out_data, (self, lambda g: g * out_data * (1.0 - out_data)))
 
     def tanh(self):
         out_data = np.tanh(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * (1.0 - out_data * out_data))
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(out_data, (self, lambda g: g * (1.0 - out_data * out_data)))
 
     def exp(self):
         out_data = np.exp(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * out_data)
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(out_data, (self, lambda g: g * out_data))
 
     def log(self):
-        out_data = np.log(self.data)
-
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g / self.data)
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(np.log(self.data), (self, lambda g: g / self.data))
 
     def pow(self, exponent: float):
-        out_data = self.data ** exponent
+        return _child(self.data ** exponent,
+                      (self, lambda g: g * exponent * self.data ** (exponent - 1.0)))
 
-        def backward(g):
-            if self.requires_grad:
-                self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-
-        return self._make_child(out_data, (self,), backward)
-
-    def clip(self, lo: float | None, hi: float | None):
+    def clip(self, lo: float, hi: float):
         """Clamp values; gradient flows only strictly inside the bounds."""
-        out_data = np.clip(self.data, lo, hi)
-
-        def backward(g):
-            if self.requires_grad:
-                mask = np.ones_like(self.data, dtype=bool)
-                if lo is not None:
-                    mask &= self.data > lo
-                if hi is not None:
-                    mask &= self.data < hi
-                self._accumulate(g * mask)
-
-        return self._make_child(out_data, (self,), backward)
+        return _child(np.clip(self.data, lo, hi),
+                      (self, lambda g: g * ((self.data > lo) & (self.data < hi))))
 
 
 # -- multi-tensor ops ------------------------------------------------------------
@@ -369,17 +266,16 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat of an empty tensor list")
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
-    def backward(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(start, stop)
-                t._accumulate(g[tuple(index)])
+    def slice_vjp(start, stop):
+        index = [slice(None)] * out_data.ndim
+        index[axis] = slice(start, stop)
+        index = tuple(index)
+        return lambda g: g[index]
 
-    return tensors[0]._make_child(out_data, tensors, backward)
+    return _child(out_data, *((t, slice_vjp(start, stop))
+                              for t, start, stop in zip(tensors, offsets[:-1], offsets[1:])))
 
 
 # -- 3D convolution ------------------------------------------------------------
@@ -473,15 +369,11 @@ def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         raise ValueError(f"kernel size {k} exceeds padded input extent {x.shape[2:]}")
 
     x_shape, w_shape = x.shape, kernels.shape
-    out_data = _conv3d_forward(x.data, kernels.data, stride, padding)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_conv3d_grad_input(g, kernels.data, stride, padding, x_shape))
-        if kernels.requires_grad:
-            kernels._accumulate(_conv3d_grad_weight(x.data, g, stride, padding, w_shape))
-
-    return x._make_child(out_data, (x, kernels), backward)
+    return _child(
+        _conv3d_forward(x.data, kernels.data, stride, padding),
+        (x, lambda g: _conv3d_grad_input(g, kernels.data, stride, padding, x_shape)),
+        (kernels, lambda g: _conv3d_grad_weight(x.data, g, stride, padding, w_shape)),
+    )
 
 
 def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -502,16 +394,10 @@ def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
         raise ValueError(f"transposed conv output extent {spatial_out} is empty")
     out_shape = (x.shape[0], kernels.shape[1]) + spatial_out
 
-    x_shape = x.shape
+    w_shape = kernels.shape
     # forward of the transpose == grad-input of the matching conv
-    out_data = _conv3d_grad_input(x.data, kernels.data, stride, padding, out_shape)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(_conv3d_forward(g, kernels.data, stride, padding))
-        if kernels.requires_grad:
-            kernels._accumulate(
-                _conv3d_grad_weight(g, x.data, stride, padding, kernels.shape)
-            )
-
-    return x._make_child(out_data, (x, kernels), backward)
+    return _child(
+        _conv3d_grad_input(x.data, kernels.data, stride, padding, out_shape),
+        (x, lambda g: _conv3d_forward(g, kernels.data, stride, padding)),
+        (kernels, lambda g: _conv3d_grad_weight(g, x.data, stride, padding, w_shape)),
+    )

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .bench import bench_attention, format_table, write_results
 from .checkpoint import CheckpointError, load_model
-from .metrics import evaluate_split
+from .metrics import EXPORT_KINDS, evaluate_split
 from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, build_manifest, read_manifest, \
     read_sequence_grids, write_dataset
@@ -158,11 +158,8 @@ def cmd_train(args, argv: list) -> int:
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
         raise MismatchError(f"dataset {args.data} has no train split")
-    result = train(config, train_data, val_data, int(train_settings["steps"]),
-                   checkpoint_path=out / "checkpoint.mvpc",
-                   metrics_path=out / "metrics.csv",
-                   learning_rate=float(train_settings["learning_rate"]),
-                   val_every=int(train_settings["val_every"]))
+    result = train(config, train_data, val_data, checkpoint_path=out / "checkpoint.mvpc",
+                   metrics_path=out / "metrics.csv", **train_settings)
     _write_provenance(out, argv, config.seed, config.to_dict())
     print(f"trained {config.variant} ({result.model.parameter_count} parameters) "
           f"for {result.steps_run} steps")
@@ -174,6 +171,10 @@ def cmd_train(args, argv: list) -> int:
 
 
 def cmd_eval(args, argv: list) -> int:
+    export = tuple(args.export.split(",")) if args.export else ()
+    for name in export:
+        if name not in EXPORT_KINDS:
+            raise UsageError(f"unknown --export entry {name!r}; expected {','.join(EXPORT_KINDS)}")
     manifest = read_manifest(args.data)
     if args.checkpoint == "oracle":
         model = None
@@ -192,7 +193,6 @@ def cmd_eval(args, argv: list) -> int:
     if not sequences:
         raise MismatchError(f"dataset {args.data} has no {args.split!r} split")
     out = _prepare_out(args.out, args.force)
-    export = tuple(args.export.split(",")) if args.export else ()
     report = evaluate_split(model, sequences, manifest.protocol, args.split,
                             extent=manifest.extent, n_points=args.points,
                             threshold_fraction=args.threshold,
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--split", choices=("train", "val", "test"), default="test")
     ev.add_argument("--out", required=True)
     ev.add_argument("--export", default="",
-                    help="comma-separated exports: grids,meshes,slices")
+                    help=f"comma-separated exports: {','.join(EXPORT_KINDS)}")
     ev.add_argument("--points", type=int, default=2048)
     ev.add_argument("--threshold", type=float, default=0.01,
                     help="f-score threshold as a fraction of the grid diagonal")

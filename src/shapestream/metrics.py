@@ -25,6 +25,7 @@ from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid, write_pgm_slice, 
 
 DEFAULT_SURFACE_SAMPLES = 2048
 DEFAULT_THRESHOLD_FRACTION = 0.01
+EXPORT_KINDS = ("grids", "meshes", "slices")
 
 
 def jaccard_values(a: np.ndarray, b: np.ndarray) -> float:

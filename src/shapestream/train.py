@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +22,7 @@ from .model import (
     BCE_EPS,
     ModelConfig,
     MvpModel,
+    _is_int,
     bce_from_predictions,
     build_model,
     sequence_predictions,
@@ -75,8 +78,13 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
     VoxelGrid lists. The trained model, metrics rows and the retained
     checkpoint are returned.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (_is_int(steps) and steps >= 0):
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    if not (_is_int(val_every) and val_every >= 1):
+        raise ValueError(f"val_every must be an integer >= 1, got {val_every!r}")
+    if not (isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool)
+            and math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     model = build_model(config)
     state = AdamState(learning_rate=learning_rate)
     rng = np.random.default_rng(config.seed)
@@ -111,17 +119,15 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
         loss_t = bce_from_predictions(preds, target_values)
         loss = loss_t.item()
 
-        if not np.isfinite(loss):
+        if np.isfinite(loss):
+            loss_t.backward()
+            grads = gradients_of(model.params)
+            zero_gradients(model.params)
+            applied = adam_update(model.params, grads, state)
+        else:
             logger.warning("step %d: non-finite loss, skipping", step)
-            consecutive_failures += 1
-            if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
-                raise TrainingDiverged(
-                    f"{MAX_CONSECUTIVE_FAILURES} consecutive non-finite steps")
-            continue
-        loss_t.backward()
-        grads = gradients_of(model.params)
-        zero_gradients(model.params)
-        if not adam_update(model.params, grads, state):
+            applied = False
+        if not applied:
             consecutive_failures += 1
             if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
                 raise TrainingDiverged(

@@ -171,6 +171,9 @@ def test_grad_broadcast_add_mul():
     arrays = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal((1, 3)),
               "c": rng.standard_normal((1, 1))}
     _check_grads(lambda t: ((t["a"] + t["b"]) * t["c"]).sum(), arrays)
+    # sub and div against a (4, 1) column, like attention's row-sum denominator
+    column = {"a": arrays["a"], "d": rng.random((4, 1)) + 0.5}
+    _check_grads(lambda t: ((t["a"] - t["d"]) / t["d"]).sum(), column)
 
 
 def test_grad_narrow_concat():

@@ -235,6 +235,29 @@ def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--steps", "1", "--val-every", "0"], "val_every"),
+    (["--set", "steps=2.7"], "steps"),
+    (["--steps", "1", "--lr", "-1"], "learning_rate"),
+    (["--steps", "1", "--lr", "inf"], "learning_rate"),
+], ids=["val_every_zero", "fractional_steps", "negative_lr", "infinite_lr"])
+def test_train_invalid_training_setting_exits_2(tmp_path, capsys, flags, field):
+    data = gen(tmp_path)
+    code = main(["train", "--data", data, "--out", str(tmp_path / "run"),
+                 "--variant", "mvp", *TINY_TRAIN, *flags])
+    assert code == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_eval_unknown_export_exits_2(tmp_path, capsys):
+    data = gen(tmp_path)
+    code = main(["eval", "--checkpoint", "oracle", "--data", data,
+                 "--out", str(tmp_path / "x"), "--export", "grid"])
+    assert code == 2
+    assert "'grid'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("damage,message", [("truncated", "truncated payload"),
                                             ("bad_magic", "bad magic")])
 @pytest.mark.parametrize("command", ["train", "eval"])

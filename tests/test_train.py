@@ -1,10 +1,13 @@
 """Training loop: determinism, checkpoint retention, metrics log."""
 
 import numpy as np
+import pytest
 
+import shapestream.train as train_module
 from shapestream.checkpoint import load_checkpoint, load_model
-from shapestream.model import build_model
-from shapestream.train import evaluate_sequences, train, write_metrics_csv
+from shapestream.model import bce_from_predictions, build_model
+from shapestream.optim import adam_update
+from shapestream.train import TrainingDiverged, evaluate_sequences, train, write_metrics_csv
 
 from test_model import as_grids, random_frames, tiny_config
 
@@ -78,3 +81,33 @@ def test_train_views_limits_frames_consumed(tmp_path):
     data = [(as_grids(frames), as_grids(targets))]
     result = train(config, data, [], steps=2, checkpoint_path=tmp_path / "ck.mvpc")
     assert result.steps_run == 2  # would raise on max_views if all 6 were used
+
+
+def _fail_on_calls(monkeypatch, name: str, failing: set):
+    """Make call n of ``train.<name>`` fail for each n in ``failing``: a NaN
+    loss from ``bce_from_predictions``, a rejected step from ``adam_update``."""
+    real = {"bce_from_predictions": bce_from_predictions, "adam_update": adam_update}[name]
+    calls = [0]
+
+    def wrapped(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] not in failing:
+            return real(*args, **kwargs)
+        return real(*args, **kwargs) * float("nan") if name == "bce_from_predictions" else False
+
+    monkeypatch.setattr(train_module, name, wrapped)
+
+
+@pytest.mark.parametrize("name", ["bce_from_predictions", "adam_update"])
+def test_failed_steps_write_no_row_and_ten_in_a_row_abort(tmp_path, monkeypatch, name):
+    # nine failures, one applied step that resets the count, nine more failures
+    _fail_on_calls(monkeypatch, name, set(range(1, 10)) | set(range(11, 20)))
+    result = train(tiny_config(), toy_dataset(), [], steps=19,
+                   checkpoint_path=tmp_path / "a.mvpc")
+    assert [row[0] for row in result.rows if row[1] == "train"] == [10]
+    assert result.steps_run == 10
+
+    _fail_on_calls(monkeypatch, name, set(range(1, 11)))
+    with pytest.raises(TrainingDiverged, match="10 consecutive"):
+        train(tiny_config(), toy_dataset(), [], steps=11, checkpoint_path=tmp_path / "b.mvpc")
+
