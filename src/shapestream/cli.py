@@ -95,9 +95,9 @@ def _load_split(data_dir, manifest, split: str):
 
 
 def cmd_gen_data(args, argv: list) -> int:
-    out = _prepare_out(args.out, args.force)
     manifest = build_manifest(args.protocol, args.objects, args.res, args.views,
                               args.seed)
+    out = _prepare_out(args.out, args.force)
     write_dataset(manifest, out)
     _write_provenance(out, argv, args.seed, {
         "protocol": args.protocol, "objects": args.objects, "res": args.res,
@@ -175,6 +175,10 @@ def cmd_eval(args, argv: list) -> int:
     for name in export:
         if name not in EXPORT_KINDS:
             raise UsageError(f"unknown --export entry {name!r}; expected {','.join(EXPORT_KINDS)}")
+    if not (np.isfinite(args.threshold) and args.threshold > 0):
+        raise UsageError(f"--threshold must be finite and > 0, got {args.threshold}")
+    if args.points < 1:
+        raise UsageError(f"--points must be >= 1, got {args.points}")
     manifest = read_manifest(args.data)
     if args.checkpoint == "oracle":
         model = None

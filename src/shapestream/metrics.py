@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .marching import marching_cubes, sample_surface_points, write_off
+from .marching import Mesh, marching_cubes, sample_surface_points, write_off
 from .model import MvpModel, stream_predictions
 from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid, write_pgm_slice, write_vxg
 
@@ -58,8 +58,8 @@ def fscore(pred: PointCloud, gt: PointCloud, dist: float) -> tuple[float, float,
     """(precision, recall, F) at distance threshold ``dist``."""
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("empty point cloud (mesh extraction failed upstream)")
-    if dist <= 0:
-        raise ValueError(f"distance threshold must be positive, got {dist}")
+    if not (np.isfinite(dist) and dist > 0):
+        raise ValueError(f"distance threshold must be finite and positive, got {dist}")
     precision = float(np.mean(_min_dists(pred.points, gt.points) < dist))
     recall = float(np.mean(_min_dists(gt.points, pred.points) < dist))
     f = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
@@ -132,11 +132,8 @@ class MetricReport:
         Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True))
 
 
-def _surface_cloud(grid: VoxelGrid, n_points: int, seed: int) -> PointCloud | None:
-    mesh = marching_cubes(grid)
-    if mesh.is_empty():
-        return None
-    return sample_surface_points(mesh, n_points, seed)
+def _surface_cloud(mesh: Mesh, n_points: int, seed: int) -> PointCloud | None:
+    return None if mesh.is_empty() else sample_surface_points(mesh, n_points, seed)
 
 
 def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split: str,
@@ -161,8 +158,9 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
         for i, (pred, target) in enumerate(zip(preds, targets)):
             j = jaccard(pred, target)
             seed = sample_seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536
-            pred_cloud = _surface_cloud(pred, n_points, seed)
-            gt_cloud = _surface_cloud(target, n_points, seed)
+            pred_mesh = marching_cubes(pred)
+            pred_cloud = _surface_cloud(pred_mesh, n_points, seed)
+            gt_cloud = _surface_cloud(marching_cubes(target), n_points, seed)
             if pred_cloud is None or gt_cloud is None:
                 row = FrameMetrics(seq_id, i, j, 0.0, 0.0, 0.0, flagged=True)
             else:
@@ -170,19 +168,17 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
                 row = FrameMetrics(seq_id, i, j, p, r, f)
             report.rows.append(row)
             if out is not None:
-                _export_frame(out, seq_id, i, pred, target, export)
+                _export_frame(out, seq_id, i, pred, pred_mesh, target, export)
     return report
 
 
-def _export_frame(out: Path, seq_id: str, i: int, pred: VoxelGrid, target: VoxelGrid,
-                  export: tuple) -> None:
+def _export_frame(out: Path, seq_id: str, i: int, pred: VoxelGrid, pred_mesh: Mesh,
+                  target: VoxelGrid, export: tuple) -> None:
     if "grids" in export:
         write_vxg(pred, out / f"{seq_id}_{i}_pred.vxg")
         write_vxg(target, out / f"{seq_id}_{i}_gt.vxg")
-    if "meshes" in export:
-        mesh = marching_cubes(pred)
-        if not mesh.is_empty():
-            write_off(mesh, out / f"{seq_id}_{i}_pred.off")
+    if "meshes" in export and not pred_mesh.is_empty():
+        write_off(pred_mesh, out / f"{seq_id}_{i}_pred.off")
     if "slices" in export:
         write_pgm_slice(pred, out / f"{seq_id}_{i}_pred.pgm")
         write_pgm_slice(target, out / f"{seq_id}_{i}_gt.pgm")

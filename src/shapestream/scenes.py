@@ -83,6 +83,14 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
     return CameraPose(np.stack([right, down, forward], axis=1), position)
 
 
+def _inside(objects: list[SolidObject], points: np.ndarray) -> np.ndarray:
+    """Scene occupancy: True where any object contains the world point."""
+    mask = np.zeros(len(points), dtype=bool)
+    for obj in objects:
+        mask |= obj.contains(points)
+    return mask
+
+
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
                       image_size: int = DEFAULT_IMAGE_SIZE, step: float = 0.004
                       ) -> PointCloud:
@@ -92,7 +100,7 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     points sit on the surface (approached from inside) to ~1e-9 m. Back faces
     and self-occluded regions never appear. No intersection -> empty cloud.
     """
-    if any(obj.contains(pose.position[None, :])[0] for obj in objects):
+    if _inside(objects, pose.position[None, :])[0]:
         raise ValueError("camera position lies inside an object")
     w = image_size
     focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
@@ -102,12 +110,6 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs_world = dirs @ pose.rotation.T
 
-    def inside(points: np.ndarray) -> np.ndarray:
-        mask = np.zeros(len(points), dtype=bool)
-        for obj in objects:
-            mask |= obj.contains(points)
-        return mask
-
     n_rays = len(dirs_world)
     hit_t = np.full(n_rays, -1.0)
     alive = np.ones(n_rays, dtype=bool)
@@ -115,7 +117,7 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
         if not alive.any():
             break
         pts = pose.position + t * dirs_world[alive]
-        hits = inside(pts)
+        hits = _inside(objects, pts)
         if hits.any():
             idx = np.flatnonzero(alive)[hits]
             hit_t[idx] = t
@@ -128,7 +130,7 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     d = dirs_world[hit]
     for _ in range(REFINE_ITERS):
         mid = 0.5 * (lo + hi)
-        m = inside(pose.position + mid[:, None] * d)
+        m = _inside(objects, pose.position + mid[:, None] * d)
         hi = np.where(m, mid, hi)
         lo = np.where(m, lo, mid)
     pts_world = pose.position + hi[:, None] * d
@@ -147,9 +149,6 @@ class ViewSequence:
     targets: list[VoxelGrid]      # full occupancy in the same frame
     camera_poses: list[CameraPose]
 
-    def __len__(self) -> int:
-        return len(self.frames)
-
 
 def _grid_origin(pose: CameraPose, centroid_world: np.ndarray, extent: float) -> np.ndarray:
     centroid_cam = pose.world_to_camera(centroid_world)[0]
@@ -160,10 +159,7 @@ def _target_grid(objects: list[SolidObject], pose: CameraPose, centroid: np.ndar
                  resolution: int, extent: float) -> VoxelGrid:
     grid = VoxelGrid.zeros(resolution, _grid_origin(pose, centroid, extent),
                            extent / resolution)
-    centers_world = pose.camera_to_world(grid.voxel_centers())
-    occ = np.zeros(len(centers_world), dtype=bool)
-    for obj in objects:
-        occ |= obj.contains(centers_world)
+    occ = _inside(objects, pose.camera_to_world(grid.voxel_centers()))
     r = resolution
     grid.values[:] = occ.reshape(r, r, r).transpose(2, 1, 0)  # centers are x-fastest
     return grid
@@ -187,11 +183,6 @@ def _pan_poses(centroid: np.ndarray, count: int) -> list[CameraPose]:
     return poses
 
 
-def _fixed_pose(centroid: np.ndarray) -> CameraPose:
-    position = centroid + np.array([FIXED_CAM_DISTANCE, 0.0, FIXED_CAM_HEIGHT])
-    return look_at(position, centroid)
-
-
 def _curtain_cutoffs(resolution: int, origin_x: float, voxel_size: float,
                      length: int, reveal: bool) -> list[float]:
     """Camera-x curtain plane positions, snapped to voxel columns; the sweep
@@ -209,7 +200,12 @@ def _curtain_cutoffs(resolution: int, origin_x: float, voxel_size: float,
 def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: int,
                   resolution: int = 16, extent: float = DEFAULT_EXTENT,
                   image_size: int = DEFAULT_IMAGE_SIZE) -> ViewSequence:
-    """Generate one sequence; deterministic in (protocol, objects, seed)."""
+    """Generate one sequence; deterministic in (protocol, objects, seed).
+
+    Each protocol states a per-frame schedule of (scene, camera pose, curtain
+    plane on camera x, -inf for none). One loop then builds each frame's
+    target, depth view and curtain-filtered input, reusing the previous
+    frame's target and view when scene and pose are the same objects."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if length < 1:
@@ -219,61 +215,47 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
     rng = np.random.default_rng(seed)
     centroid = np.zeros(3)
     step = extent / resolution / 2.0  # ray-march step: half a voxel
+    fixed = look_at(centroid + np.array([FIXED_CAM_DISTANCE, 0.0, FIXED_CAM_HEIGHT]), centroid)
 
-    if protocol in ("camera_pan", "two_object_pan"):
-        if protocol == "camera_pan":
-            scene = [objects[0].with_pose(translation=centroid)]
-        else:
-            a, b = objects[0], objects[1]
-            gap = extent / 4.0
-            scene = [a.with_pose(translation=centroid + np.array([0.0, -gap / 2 - 0.02, 0.0])),
-                     b.with_pose(translation=centroid + np.array([0.0, gap / 2 + 0.02, 0.0]))]
-        poses = _pan_poses(centroid, length)
-        frames, targets = [], []
-        for pose in poses:
-            target = _target_grid(scene, pose, centroid, resolution, extent)
-            cloud = render_depth_view(scene, pose, image_size, step=step)
-            frames.append(_input_grid(cloud, target))
-            targets.append(target)
-        return ViewSequence(protocol, frames, targets, poses)
-
-    if protocol in ("object_hiding", "object_reveal"):
+    if protocol == "two_object_pan":
+        gap = extent / 4.0
+        scene = [objects[0].with_pose(translation=centroid + np.array([0.0, -gap / 2 - 0.02, 0.0])),
+                 objects[1].with_pose(translation=centroid + np.array([0.0, gap / 2 + 0.02, 0.0]))]
+    else:
         scene = [objects[0].with_pose(translation=centroid)]
-        pose = _fixed_pose(centroid)
-        target = _target_grid(scene, pose, centroid, resolution, extent)
-        cloud = render_depth_view(scene, pose, image_size, step=step)
-        cutoffs = _curtain_cutoffs(resolution, _grid_origin(pose, centroid, extent)[0],
+    if protocol in ("camera_pan", "two_object_pan"):
+        schedule = [(scene, pose, -np.inf) for pose in _pan_poses(centroid, length)]
+    elif protocol in ("object_hiding", "object_reveal"):
+        cutoffs = _curtain_cutoffs(resolution, _grid_origin(fixed, centroid, extent)[0],
                                    extent / resolution, length,
                                    reveal=(protocol == "object_reveal"))
-        frames, targets, poses = [], [], []
-        for c in cutoffs:
-            if len(cloud) > 0:
-                visible = PointCloud(cloud.points[cloud.points[:, 0] > c])
-            else:
-                visible = cloud
-            frames.append(_input_grid(visible, target))
-            targets.append(target)
-            poses.append(pose)
-        return ViewSequence(protocol, frames, targets, poses)
+        schedule = [(scene, fixed, c) for c in cutoffs]
+    else:
+        # slide_behind: objects[0] = static occluder near the camera, objects[1]
+        # = mover crossing behind it; start position and standoff vary per seed
+        occluder = objects[0].with_pose(translation=centroid + np.array([0.06, 0.0, 0.0]))
+        standoff = float(rng.uniform(0.09, 0.125))
+        y0 = float(rng.uniform(-0.070, -0.055))
+        y1 = float(rng.uniform(0.055, 0.070))
+        schedule = []
+        for i in range(length):
+            frac = i / (length - 1) if length > 1 else 0.0
+            mover_pos = centroid + np.array([0.06 - standoff, y0 + frac * (y1 - y0), 0.0])
+            schedule.append(([occluder, objects[1].with_pose(translation=mover_pos)],
+                             fixed, -np.inf))
 
-    # slide_behind: objects[0] = static occluder near the camera, objects[1] =
-    # mover crossing behind it; start position and standoff vary per seed
-    occluder = objects[0].with_pose(translation=centroid + np.array([0.06, 0.0, 0.0]))
-    standoff = float(rng.uniform(0.09, 0.125))
-    y0 = float(rng.uniform(-0.070, -0.055))
-    y1 = float(rng.uniform(0.055, 0.070))
-    pose = _fixed_pose(centroid)
     frames, targets, poses = [], [], []
-    for i in range(length):
-        frac = i / (length - 1) if length > 1 else 0.0
-        mover_pos = centroid + np.array([0.06 - standoff, y0 + frac * (y1 - y0), 0.0])
-        scene = [occluder, objects[1].with_pose(translation=mover_pos)]
-        target = _target_grid(scene, pose, centroid, resolution, extent)
-        cloud = render_depth_view(scene, pose, image_size, step=step)
-        frames.append(_input_grid(cloud, target))
+    shot_scene = shot_pose = None
+    for scene, pose, curtain in schedule:
+        if scene is not shot_scene or pose is not shot_pose:
+            target = _target_grid(scene, pose, centroid, resolution, extent)
+            cloud = render_depth_view(scene, pose, image_size, step=step)
+            shot_scene, shot_pose = scene, pose
+        visible = PointCloud(cloud.points[cloud.points[:, 0] > curtain])
+        frames.append(_input_grid(visible, target))
         targets.append(target)
         poses.append(pose)
-    return ViewSequence("slide_behind", frames, targets, poses)
+    return ViewSequence(protocol, frames, targets, poses)
 
 
 def fully_occluded_frames(seq: ViewSequence) -> list[int]:
@@ -369,6 +351,8 @@ def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if protocol in TWO_OBJECT_PROTOCOLS and n_objects < 2:
         raise ValueError(f"{protocol} needs at least 2 objects, got {n_objects}")
+    if resolution < 1 or views < 1:
+        raise ValueError(f"resolution and views must be >= 1, got {resolution} and {views}")
     rng = np.random.default_rng(seed)
     two_object = protocol in TWO_OBJECT_PROTOCOLS
     scale = 0.6 if two_object else 1.0
@@ -379,22 +363,17 @@ def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,
                    seed=int(rng.integers(0, 2 ** 31)), scale=scale, split=labels[i])
         for i in range(n_objects)
     ]
+    # two-object protocols pair objects within their split so no split leaks
+    # into another; the others take one object per sequence
+    groups = ([[o for o in objects if o.split == split] for split in ("train", "val", "test")]
+              if two_object else [[o] for o in objects])
     sequences = []
-    if two_object:
-        # pair objects within their split so no split leaks into another
-        for split in ("train", "val", "test"):
-            members = [o for o in objects if o.split == split]
-            for j, obj in enumerate(members):
-                partner = members[(j + 1) % len(members)]
-                sequences.append(SequenceSpec(
-                    seq_id=f"{protocol}-{len(sequences):04d}",
-                    object_ids=[obj.object_id, partner.object_id],
-                    seed=int(seed * 7919 + len(sequences)), split=split))
-    else:
-        for obj in objects:
+    for members in groups:
+        for j, obj in enumerate(members):
+            partner = members[(j + 1) % len(members)]
             sequences.append(SequenceSpec(
                 seq_id=f"{protocol}-{len(sequences):04d}",
-                object_ids=[obj.object_id],
+                object_ids=[obj.object_id, partner.object_id][:2 if two_object else 1],
                 seed=int(seed * 7919 + len(sequences)), split=obj.split))
     return DatasetManifest(protocol=protocol, resolution=resolution, views=views,
                            seed=seed, objects=objects, sequences=sequences)

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import Tensor
 from .checkpoint import save_checkpoint
 from .metrics import jaccard_values
 from .model import (
-    BCE_EPS,
     ModelConfig,
     MvpModel,
     _is_int,
@@ -49,11 +49,6 @@ class TrainResult:
     model: MvpModel | None = None
 
 
-def _mean_bce(pred: np.ndarray, target: np.ndarray) -> float:
-    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    return float(-np.mean(target * np.log(p) + (1.0 - target) * np.log(1.0 - p)))
-
-
 def evaluate_sequences(model: MvpModel, sequences: list, views: int | None = None
                        ) -> tuple[float, float]:
     """(mean BCE, mean Jaccard) over sequences of VoxelGrid frames and
@@ -63,7 +58,7 @@ def evaluate_sequences(model: MvpModel, sequences: list, views: int | None = Non
         if views is not None:
             frames, targets = frames[:views], targets[:views]
         for pred, target in zip(stream_predictions(model, frames), targets):
-            losses.append(_mean_bce(pred.values, target.values))
+            losses.append(bce_from_predictions([Tensor(pred.values)], [target]).item())
             jaccards.append(jaccard_values(pred.values, target.values))
     return float(np.mean(losses)), float(np.mean(jaccards))
 

@@ -36,8 +36,10 @@ class VoxelGrid:
         r = self.values.shape[0]
         if self.values.ndim != 3 or self.values.shape != (r, r, r):
             raise ValueError(f"grid values must be cubic, got shape {self.values.shape}")
-        if self.voxel_size <= 0:
-            raise ValueError(f"voxel_size must be positive, got {self.voxel_size}")
+        if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
+            raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")
+        if not np.all(np.isfinite(self.origin)):
+            raise ValueError(f"grid origin must be finite, got {self.origin}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
         if self.values.size and (self.values.min() < 0.0 or self.values.max() > 1.0):
@@ -101,8 +103,6 @@ def voxelize(cloud: PointCloud, resolution: int, origin, voxel_size: float
     Returns (grid, dropped) where dropped counts points outside the extent.
     An empty cloud is a valid all-zero grid.
     """
-    if voxel_size <= 0:
-        raise ValueError(f"voxel_size must be positive, got {voxel_size}")
     grid = VoxelGrid.zeros(resolution, origin, voxel_size)
     if len(cloud) == 0:
         return grid, 0
@@ -158,9 +158,14 @@ def read_vxg(path) -> VoxelGrid:
     expected = 24 + 4 * r ** 3
     if len(blob) < expected:
         raise VxgError(f"truncated payload: {len(blob)} bytes, expected {expected}")
-    values = np.frombuffer(blob, dtype="<f4", count=r ** 3, offset=24)
+    if len(blob) > expected:
+        raise VxgError(f"trailing bytes: {len(blob)} bytes, expected {expected}")
+    values = np.frombuffer(blob, dtype="<f4", offset=24)
     values = values.astype(np.float64).reshape((r, r, r), order="F")
-    return VoxelGrid(values, np.asarray(origin), voxel_size)
+    try:
+        return VoxelGrid(values, np.asarray(origin), voxel_size)
+    except ValueError as err:
+        raise VxgError(f"malformed grid: {err}") from err
 
 
 def write_pgm_slice(grid: VoxelGrid, path, axis: int = 2, index: int | None = None) -> None:

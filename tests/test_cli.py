@@ -68,6 +68,17 @@ def test_gen_data_slide_behind_rejects_single_object(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [["--res", "0"], ["--views", "0"], ["--res", "-4"],
+                                   ["--objects", "2"]],
+                         ids=["res_zero", "views_zero", "res_negative", "two_objects"])
+def test_gen_data_invalid_size_exits_2_and_writes_nothing(tmp_path, flags):
+    out = tmp_path / "x"
+    code = main(["gen-data", "--protocol", "object_hiding", "--objects", "3",
+                 "--res", "8", "--views", "3", "--out", str(out), *flags])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 2
 
@@ -259,13 +270,15 @@ def test_eval_unknown_export_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("damage,message", [("truncated", "truncated payload"),
-                                            ("bad_magic", "bad magic")])
+                                            ("bad_magic", "bad magic"),
+                                            ("value_2", "malformed grid")])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, message):
     data = gen(tmp_path)
     for path in (tmp_path / "data").glob("*_0_in.vxg"):  # frame 0 of every split
         blob = path.read_bytes()
-        path.write_bytes(blob[:-1] if damage == "truncated" else b"XXXX" + blob[4:])
+        path.write_bytes({"truncated": blob[:-1], "bad_magic": b"XXXX" + blob[4:],
+                          "value_2": blob[:24] + struct.pack("<f", 2.0) + blob[28:]}[damage])
     if command == "train":
         argv = ["train", "--data", data, "--out", str(tmp_path / "run"), *TINY_TRAIN,
                 "--steps", "1"]
@@ -274,6 +287,18 @@ def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, mes
                 "--out", str(tmp_path / "ev")]
     assert main(argv) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],
+                                   ["--threshold", "0"], ["--points", "0"]],
+                         ids=["threshold_nan", "threshold_inf", "threshold_zero", "points_zero"])
+def test_eval_invalid_threshold_or_points_exits_2(tmp_path, capsys, flags):
+    data = gen(tmp_path)
+    code = main(["eval", "--checkpoint", "oracle", "--data", data,
+                 "--out", str(tmp_path / "x"), *flags])
+    assert code == 2
+    assert f"{flags[0]} must be" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_mvp_seed_env_var_used_as_default(tmp_path, monkeypatch):

@@ -102,6 +102,13 @@ def test_fscore_empty_cloud_rejected():
         fscore(PointCloud.empty(), PointCloud(np.zeros((1, 3))), 0.01)
 
 
+@pytest.mark.parametrize("dist", [0.0, -0.01, float("nan"), float("inf")])
+def test_fscore_rejects_threshold_not_finite_and_positive(dist):
+    pts = PointCloud(RNG(3).random((10, 3)))
+    with pytest.raises(ValueError, match="finite and positive"):
+        fscore(pts, pts, dist)
+
+
 def test_fscore_matches_brute_force_double_loop():
     rng = RNG(5)
     for trial in range(5):

@@ -1,5 +1,6 @@
 """Voxel grid model, voxelization and .vxg round trips."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -167,6 +168,61 @@ def test_vxg_dimension_overflow(tmp_path):
     path.write_bytes(b"VXG1" + (99999).to_bytes(4, "little") + b"\0" * 16)
     with pytest.raises(VxgError, match="dimension overflow"):
         read_vxg(path)
+
+
+def _valid_vxg_bytes() -> bytes:
+    grid = VoxelGrid.zeros(3, (-0.5, 0.0, 0.25), 0.125)
+    grid.values[0, 1, 2] = grid.values[2, 0, 0] = 1.0
+    grid.values[1, 1, 1] = 0.5
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.vxg"
+        write_vxg(grid, path)
+        return path.read_bytes()
+
+
+VALID_VXG = _valid_vxg_bytes()  # a 3^3 grid, 132 bytes
+
+
+def _patched(offset: int, fmt: str, value) -> bytes:
+    out = bytearray(VALID_VXG)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (VALID_VXG + b"\0" * 4, "trailing bytes"),
+    (_patched(4, "<I", 2), "trailing bytes"),
+    (_patched(20, "<f", float("nan")), "voxel_size"),
+    (_patched(20, "<f", float("inf")), "voxel_size"),
+    (_patched(12, "<f", float("nan")), "origin"),
+    (_patched(24, "<f", 2.0), r"\[0, 1\]"),
+    (_patched(28, "<f", float("nan")), "finite"),
+], ids=["trailing_bytes", "r_shrunk_by_one", "nan_voxel_size", "inf_voxel_size",
+        "nan_origin", "value_2", "nan_value"])
+def test_vxg_malformed_file_raises_vxg_error(tmp_path, blob, message):
+    path = tmp_path / "m.vxg"
+    path.write_bytes(blob)
+    with pytest.raises(VxgError, match=message):
+        read_vxg(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_vxg_single_byte_mutation_rejected_or_read_exactly(data):
+    pos = data.draw(st.integers(0, len(VALID_VXG) - 1), label="pos")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != VALID_VXG[pos]), label="byte")
+    mutated = VALID_VXG[:pos] + bytes([byte]) + VALID_VXG[pos + 1:]
+    # One directory per example: a function-scoped fixture such as tmp_path
+    # would be shared by every example hypothesis generates.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, again = Path(tmp) / "m.vxg", Path(tmp) / "again.vxg"
+        path.write_bytes(mutated)
+        try:
+            grid = read_vxg(path)
+        except VxgError:
+            return
+        write_vxg(grid, again)
+        assert again.read_bytes() == mutated
 
 
 def test_pgm_slice_export(tmp_path):
