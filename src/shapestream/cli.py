@@ -3,7 +3,7 @@
 Every command is reproducible: outputs are fully determined by the command
 line, the config and the seed, and each output directory carries a
 machine-readable provenance record. Exit codes: 0 success, 2 usage error,
-3 data/config mismatch or a malformed .vxg/checkpoint file, 4 numeric
+3 data/config mismatch or a malformed manifest/.vxg/checkpoint file, 4 numeric
 failure (aborted training).
 """
 
@@ -23,8 +23,8 @@ from .bench import bench_attention, format_table, write_results
 from .checkpoint import CheckpointError, load_model
 from .metrics import EXPORT_KINDS, evaluate_split
 from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
-from .scenes import DEFAULT_VIEWS, PROTOCOLS, build_manifest, read_manifest, \
-    read_sequence_grids, write_dataset
+from .scenes import DEFAULT_VIEWS, PROTOCOLS, DatasetError, build_manifest, \
+    read_manifest, read_sequence_grids, write_dataset
 from .train import TrainingDiverged, train
 from .voxel import VxgError
 
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MismatchError, FileNotFoundError, VxgError) as err:
+    except (MismatchError, FileNotFoundError, VxgError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as err:

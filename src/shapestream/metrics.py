@@ -129,7 +129,8 @@ class MetricReport:
         }
 
     def write_summary(self, path) -> None:
-        Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(self.summary(), indent=2, sort_keys=True,
+                                         allow_nan=False))
 
 
 def _surface_cloud(mesh: Mesh, n_points: int, seed: int) -> PointCloud | None:

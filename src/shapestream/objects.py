@@ -72,7 +72,10 @@ class SolidObject:
         return mask
 
     def bounding_radius(self) -> float:
-        """Radius of a world-frame ball around the translation covering the object."""
+        """Radius of a world-frame ball around the translation covering the object.
+
+        ``scenes.render_depth_view`` tests a ray only inside these balls, so
+        every point ``contains`` accepts must lie within this radius."""
         if self.kind == "box":
             return float(np.linalg.norm(self.dimensions["half_extents"]))
         if self.kind == "sphere":

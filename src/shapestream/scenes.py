@@ -24,6 +24,7 @@ Protocols:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -99,6 +100,9 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     One ray per pixel; ray marching at ``step`` followed by bisection, so hit
     points sit on the surface (approached from inside) to ~1e-9 m. Back faces
     and self-occluded regions never appear. No intersection -> empty cloud.
+    A ray is tested only between its first entry into and last exit from the
+    objects' bounding spheres, where a hit can occur; the samples stay those
+    of the unculled march, so the hits are the same.
     """
     if _inside(objects, pose.position[None, :])[0]:
         raise ValueError("camera position lies inside an object")
@@ -110,16 +114,25 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs_world = dirs @ pose.rotation.T
 
-    n_rays = len(dirs_world)
-    hit_t = np.full(n_rays, -1.0)
-    alive = np.ones(n_rays, dtype=bool)
+    # ray/sphere spans (unit directions); the 1e-6 relative pad on each radius
+    # absorbs rounding, so no sample inside an object falls outside the hull
+    centers = np.array([o.translation for o in objects]).reshape(-1, 3) - pose.position
+    radii = np.array([o.bounding_radius() for o in objects]) * (1.0 + 1e-6)
+    closest = dirs_world @ centers.T  # (rays, objects) t of nearest approach
+    disc = closest ** 2 - (np.einsum("ij,ij->i", centers, centers) - radii ** 2)
+    half = np.sqrt(np.maximum(disc, 0.0))
+    t_first = np.where(disc >= 0, closest - half, np.inf).min(axis=1, initial=np.inf)
+    t_last = np.where(disc >= 0, closest + half, -np.inf).max(axis=1, initial=-np.inf)
+
+    hit_t = np.full(len(dirs_world), -1.0)
+    alive = np.ones(len(dirs_world), dtype=bool)
     for t in np.arange(RAY_NEAR, RAY_FAR, step):
+        alive &= t_last >= t
         if not alive.any():
             break
-        pts = pose.position + t * dirs_world[alive]
-        hits = _inside(objects, pts)
-        if hits.any():
-            idx = np.flatnonzero(alive)[hits]
+        idx = np.flatnonzero(alive & (t_first <= t))
+        if len(idx):
+            idx = idx[_inside(objects, pose.position + t * dirs_world[idx])]
             hit_t[idx] = t
             alive[idx] = False
     hit = hit_t > 0
@@ -269,6 +282,10 @@ def fully_occluded_frames(seq: ViewSequence) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+class DatasetError(Exception):
+    """A dataset manifest that is not valid JSON or holds invalid fields."""
+
+
 @dataclass
 class ObjectSpec:
     object_id: str
@@ -311,13 +328,23 @@ class DatasetManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        raw = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "DatasetManifest":
+        try:
+            raw = json.loads(text)
+        except ValueError as err:
+            raise DatasetError(f"manifest is not valid JSON: {err}") from err
+        if not isinstance(raw, dict):
+            raise DatasetError("manifest must be a JSON object")
         if raw.get("version") != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version {raw.get('version')}")
+            raise DatasetError(f"unsupported manifest version {raw.get('version')}")
         raw["objects"] = [ObjectSpec(**o) for o in raw["objects"]]
         raw["sequences"] = [SequenceSpec(**s) for s in raw["sequences"]]
-        return cls(**raw)
+        manifest = cls(**raw)
+        for name in ("resolution", "views", "image_size"):
+            value = getattr(manifest, name)
+            if type(value) is not int or value < 1:
+                raise DatasetError(f"manifest {name} must be an integer >= 1, got {value!r}")
+        return manifest
 
 
 def split_objects(count: int, ratios: tuple = (0.8, 0.1, 0.1), seed: int = 0) -> list[str]:
@@ -387,20 +414,39 @@ def realize_sequence(manifest: DatasetManifest, spec: SequenceSpec) -> ViewSeque
                          image_size=manifest.image_size)
 
 
+def _link(source: Path, target: Path) -> bool:
+    try:
+        os.link(source, target)
+    except OSError:  # a file system without hard links, or at its link limit
+        return False
+    return True
+
+
 def write_dataset(manifest: DatasetManifest, out_dir) -> None:
-    """Materialize every sequence as {seq_id}_{frame_idx}_{in|gt}.vxg files."""
+    """Materialize every sequence as {seq_id}_{frame_idx}_{in|gt}.vxg files.
+
+    A grid that repeats an earlier grid of its sequence (object_hiding and
+    object_reveal keep one target for every frame) is a hard link to its file,
+    so a sequence creates one file per distinct grid. Each name is unlinked
+    before it is written, so rewriting a dataset never writes through a link."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").write_text(manifest.to_json())
     for spec in manifest.sequences:
         seq = realize_sequence(manifest, spec)
+        written: dict = {}  # grid contents -> the first file written from them
         for i, (frame, target) in enumerate(zip(seq.frames, seq.targets)):
-            write_vxg(frame, out / f"{spec.seq_id}_{i}_in.vxg")
-            write_vxg(target, out / f"{spec.seq_id}_{i}_gt.vxg")
+            for grid, kind in ((frame, "in"), (target, "gt")):
+                path = out / f"{spec.seq_id}_{i}_{kind}.vxg"
+                path.unlink(missing_ok=True)
+                key = (grid.values.tobytes(), grid.origin.tobytes(), grid.voxel_size)
+                first = written.setdefault(key, path)
+                if first is path or not _link(first, path):
+                    write_vxg(grid, path)
 
 
 def read_manifest(data_dir) -> DatasetManifest:
-    return DatasetManifest.from_json((Path(data_dir) / "manifest.json").read_text())
+    return DatasetManifest.from_json((Path(data_dir) / "manifest.json").read_bytes())
 
 
 def read_sequence_grids(data_dir, manifest: DatasetManifest,

@@ -7,6 +7,9 @@ checks.
 
 import numpy as np
 
+from shapestream.scenes import FOV_DEG, RAY_FAR, RAY_NEAR, REFINE_ITERS
+from shapestream.voxel import PointCloud
+
 
 def conv3d_naive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Seven nested loops, straight from the cross-correlation definition."""
@@ -127,3 +130,49 @@ def fscore_naive(pred: np.ndarray, gt: np.ndarray, d: float) -> tuple:
     r = frac_within(gt, pred)
     f = 0.0 if (p + r) == 0 else 2 * p * r / (p + r)
     return p, r, f
+
+
+def render_depth_view_naive(objects, pose, image_size, step):
+    """The unculled raycaster: every alive ray is tested against every object
+    at every march sample, then bisected to the surface."""
+    def _inside(objects, points):
+        mask = np.zeros(len(points), dtype=bool)
+        for obj in objects:
+            mask |= obj.contains(points)
+        return mask
+
+    if _inside(objects, pose.position[None, :])[0]:
+        raise ValueError("camera position lies inside an object")
+    w = image_size
+    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
+    px = (np.arange(w) + 0.5 - w / 2.0) / focal
+    u, v = np.meshgrid(px, px, indexing="xy")
+    dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs_world = dirs @ pose.rotation.T
+
+    n_rays = len(dirs_world)
+    hit_t = np.full(n_rays, -1.0)
+    alive = np.ones(n_rays, dtype=bool)
+    for t in np.arange(RAY_NEAR, RAY_FAR, step):
+        if not alive.any():
+            break
+        pts = pose.position + t * dirs_world[alive]
+        hits = _inside(objects, pts)
+        if hits.any():
+            idx = np.flatnonzero(alive)[hits]
+            hit_t[idx] = t
+            alive[idx] = False
+    hit = hit_t > 0
+    if not hit.any():
+        return PointCloud.empty()
+    lo = hit_t[hit] - step
+    hi = hit_t[hit].copy()
+    d = dirs_world[hit]
+    for _ in range(REFINE_ITERS):
+        mid = 0.5 * (lo + hi)
+        m = _inside(objects, pose.position + mid[:, None] * d)
+        hi = np.where(m, mid, hi)
+        lo = np.where(m, lo, mid)
+    pts_world = pose.position + hi[:, None] * d
+    return PointCloud(pose.world_to_camera(pts_world))

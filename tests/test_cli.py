@@ -289,6 +289,30 @@ def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit", ["views_zero", "resolution_string", "image_size_float",
+                                  "version_2", "not_json", "not_utf8", "json_list"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_invalid_manifest_exits_3_before_out(tmp_path, capsys, command, edit):
+    data = gen(tmp_path)
+    path = tmp_path / "data" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    key, value = {"views_zero": ("views", 0), "resolution_string": ("resolution", "8"),
+                  "image_size_float": ("image_size", 2.5),
+                  "version_2": ("version", 2)}.get(edit, (None, None))
+    if key:
+        manifest[key] = value
+    path.write_bytes({"not_json": b'{"protocol": ', "not_utf8": b'{"protocol": "\xff"}',
+                      "json_list": b"[1, 2]"}.get(edit, json.dumps(manifest).encode()))
+    out = tmp_path / "run"
+    if command == "train":
+        argv = ["train", "--data", data, "--out", str(out), *TINY_TRAIN, "--steps", "1"]
+    else:
+        argv = ["eval", "--checkpoint", "oracle", "--data", data, "--out", str(out)]
+    assert main(argv) == 3
+    assert "manifest" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],
                                    ["--threshold", "0"], ["--points", "0"]],
                          ids=["threshold_nan", "threshold_inf", "threshold_zero", "points_zero"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fscore_naive, jaccard_naive
-from shapestream.metrics import evaluate_split, fscore, jaccard, jaccard_values
+from shapestream.metrics import MetricReport, evaluate_split, fscore, jaccard, jaccard_values
 from shapestream.model import build_model
 from shapestream.voxel import PointCloud, VoxelGrid
 
@@ -202,3 +202,9 @@ def test_exports_written(tmp_path):
     assert (tmp_path / "seq-0_0_pred.vxg").exists()
     assert (tmp_path / "seq-0_0_pred.off").exists()
     assert (tmp_path / "seq-0_0_pred.pgm").exists()
+
+
+def test_summary_of_no_frames_is_refused_not_written_as_nan(tmp_path):
+    # json.dumps would otherwise write the non-JSON token NaN for the means
+    with pytest.raises(ValueError):
+        MetricReport("camera_pan", "test", 0.01).write_summary(tmp_path / "summary.json")

@@ -1,12 +1,18 @@
 """Object corpus, depth raycasting and the five sequence protocols."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import render_depth_view_naive
 from shapestream.objects import OBJECT_KINDS, SolidObject, gen_object, random_rotation
 from shapestream.scenes import (
     DEFAULT_EXTENT,
     PROTOCOLS,
+    RAY_NEAR,
     CameraPose,
     DatasetManifest,
     build_manifest,
@@ -44,6 +50,21 @@ def test_all_kinds_fit_inside_scene_extent():
         for seed in range(30):
             obj = gen_object(kind, seed)
             assert obj.bounding_radius() < DEFAULT_EXTENT / 2, (kind, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=st.sampled_from(OBJECT_KINDS), seed=st.integers(0, 2 ** 31 - 1),
+       scale=st.sampled_from([1.0, 0.6]),
+       offset=st.tuples(*[st.floats(-0.2, 0.2)] * 3))
+def test_contained_points_lie_within_bounding_radius(kind, seed, scale, offset):
+    # the raycaster skips samples outside the bounding spheres, which is
+    # exact only while no contained point lies beyond bounding_radius()
+    obj = gen_object(kind, seed, scale).with_pose(translation=np.array(offset))
+    reach = obj.bounding_radius()
+    pts = obj.translation + RNG(seed).uniform(-1.5 * reach, 1.5 * reach, size=(4000, 3))
+    inside = obj.contains(pts)
+    assert inside.any()
+    assert np.linalg.norm(pts[inside] - obj.translation, axis=1).max() <= reach
 
 
 def test_sphere_voxel_count_matches_analytic_volume():
@@ -167,6 +188,42 @@ def test_camera_inside_object_rejected():
     pose = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="inside"):
         render_depth_view([big], pose)
+
+
+def _reference_scene(name):
+    front = look_at((0.5, 0.0, 0.1), (0.0, 0.0, 0.0))
+    if name in OBJECT_KINDS:
+        return [gen_object(name, seed=4)], front
+    if name == "overlapping_spheres":  # slide_behind's occluder and mover
+        occluder = gen_object("union", 9, 0.6).with_pose(translation=np.array([0.06, 0.0, 0.0]))
+        mover = gen_object("box", 2, 0.6).with_pose(translation=np.array([-0.04, -0.03, 0.0]))
+        gap = np.linalg.norm(occluder.translation - mover.translation)
+        assert gap < occluder.bounding_radius() + mover.bounding_radius()
+        return [occluder, mover], look_at((0.55, 0.0, 0.15), (0.0, 0.0, 0.0))
+    if name == "span_before_near":  # box face beyond RAY_NEAR, sphere span before it
+        box = SolidObject("box", {"half_extents": np.full(3, 0.04)})
+        assert 0.1 - box.bounding_radius() < RAY_NEAR < 0.1 - 0.04
+        return [box], look_at((0.1, 0.0, 0.0), (0.0, 0.0, 0.0))
+    if name == "grazed_by_edge_rays":
+        edge = SolidObject("sphere", {"radius": 0.03}, translation=np.array([0.0, 0.25, 0.0]))
+        return [edge], look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
+    assert name == "misses_everything"
+    return [SolidObject("sphere", {"radius": 0.03}, translation=np.array([0.0, 0.0, 2.0]))], front
+
+
+@pytest.mark.parametrize("name", [*OBJECT_KINDS, "overlapping_spheres", "span_before_near",
+                                  "grazed_by_edge_rays", "misses_everything"])
+def test_culled_raycast_equals_unculled_reference(name):
+    objects, pose = _reference_scene(name)
+    got = render_depth_view(objects, pose, image_size=24, step=0.005)
+    want = render_depth_view_naive(objects, pose, image_size=24, step=0.005)
+    assert np.array_equal(got.points, want.points)
+    if name == "grazed_by_edge_rays":
+        assert 0 < len(got) <= 4
+    elif name == "misses_everything":
+        assert len(got) == 0
+    else:
+        assert len(got) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +383,47 @@ def test_dataset_regeneration_byte_identical(tmp_path):
     for f1 in sorted(d1.iterdir()):
         f2 = d2 / f1.name
         assert f1.read_bytes() == f2.read_bytes(), f1.name
+
+
+def _vxg_files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.glob("*.vxg"))}
+
+
+def test_repeated_grids_are_hard_links(tmp_path):
+    manifest = build_manifest("object_hiding", 3, resolution=8, views=6, seed=6)
+    write_dataset(manifest, tmp_path)
+    for spec in manifest.sequences:
+        files = sorted(tmp_path.glob(f"{spec.seq_id}_*.vxg"))
+        inodes = {}  # bytes -> inodes of the files holding them
+        for path in files:
+            inodes.setdefault(path.read_bytes(), set()).add(path.stat().st_ino)
+        assert all(len(ino) == 1 for ino in inodes.values()), spec.seq_id
+        assert len({path.stat().st_ino for path in files}) == len(inodes)
+        assert len({path.stat().st_ino for path in files if path.name.endswith("_gt.vxg")}) == 1
+
+
+def test_rewriting_a_dataset_never_writes_through_a_link(tmp_path):
+    manifest = build_manifest("object_hiding", 3, resolution=8, views=6, seed=6)
+    write_dataset(manifest, tmp_path / "fresh")
+    data, outside = tmp_path / "data", tmp_path / "outside.bin"
+    write_dataset(manifest, data)
+    outside.write_bytes(b"not a grid")
+    for path in data.glob("*.vxg"):
+        path.unlink()
+        os.link(outside, path)
+    write_dataset(manifest, data)
+    assert outside.read_bytes() == b"not a grid"
+    assert _vxg_files(data) == _vxg_files(tmp_path / "fresh")
+
+
+def test_dataset_without_hard_links_writes_every_file(tmp_path, monkeypatch):
+    manifest = build_manifest("object_hiding", 3, resolution=8, views=6, seed=6)
+    write_dataset(manifest, tmp_path / "linked")
+
+    def no_links(source, target):
+        raise OSError("hard links not supported")
+    monkeypatch.setattr(os, "link", no_links)
+    write_dataset(manifest, tmp_path / "copied")
+    copied = sorted((tmp_path / "copied").glob("*.vxg"))
+    assert all(path.stat().st_nlink == 1 for path in copied)
+    assert _vxg_files(tmp_path / "copied") == _vxg_files(tmp_path / "linked")
