@@ -17,15 +17,15 @@ Two feature maps are supported:
                 with unit-Gaussian rows W, an unbiased estimator of
                 exp(q k^T).
 
-The same attention has two forms (Katharopoulos et al. 2020, "Transformers
-are RNNs", sec. 3.4). Streaming uses the recurrent form above
-(``memory_update`` / ``memory_query``). Training uses the parallel form over
-(L, dim) Tensors: the causal-masked weights phi(Q) phi(K)^T, normalized by
-their row sums (``causal_linear_attention_t``). The exact quadratic
+The model computes it in one chunkwise form, ``causal_linear_attention_t``
+(Katharopoulos et al. 2020, "Transformers are RNNs", sec. 3.4; Yang et al.
+2024, "Gated Linear Attention Transformers"): c new rows read a memory plus
+their own causal-masked weights phi(Q) phi(K)^T, then the memory absorbs
+them. Training passes no memory, streaming each head's memory. The exact
 attention (``exact_causal_attention_t``) differs only in its weights,
-exp(Q K^T - rowmax) or the relu kernel; both Tensor forms share one mask,
-row-sum, fallback and normalize step. The numpy ``causal_linear_attention``
-and ``exact_causal_attention`` are the row-by-row references.
+exp(Q K^T - rowmax) or the relu kernel; both share one mask, row-sum,
+fallback and normalize step. The numpy ``causal_linear_attention`` and
+``exact_causal_attention`` are the row-by-row references.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -132,19 +132,20 @@ class AssociativeMemory:
 
 
 def memory_update(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray) -> AssociativeMemory:
-    """Absorb one (key, value) pair in place; storage size is unchanged."""
+    """Absorb one (key, value) pair or (c, d_qk)/(c, d) rows in place; size is unchanged."""
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if k.shape != (mem.fmap.d_qk,):
+    if k.ndim not in (1, 2) or k.shape[-1] != mem.fmap.d_qk:
         raise ValueError(f"key shape {k.shape} does not match d_qk={mem.fmap.d_qk}")
-    if v.shape != (mem.M.shape[1],):
+    if v.shape != k.shape[:-1] + (mem.M.shape[1],):
         raise ValueError(f"value shape {v.shape} does not match d={mem.M.shape[1]}")
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite key or value rejected; memory unmodified")
-    pk = feature_map_apply(mem.fmap, k)
-    mem.M += np.outer(pk, v)
-    mem.m_vec += pk
-    mem.count += 1
+    pk = np.atleast_2d(feature_map_apply(mem.fmap, k))
+    # new arrays, not +=: a recorded graph may still read the old ones
+    mem.M = mem.M + pk.T @ np.atleast_2d(v)
+    mem.m_vec = mem.m_vec + pk.sum(axis=0)
+    mem.count += len(pk)
     return mem
 
 
@@ -232,19 +233,21 @@ def _causal_mask(lq: int, length: int) -> np.ndarray:
     return np.tri(lq, length, length - lq)
 
 
-def _causal_average(weights: Tensor, V: Tensor) -> Tensor:
+def _causal_average(weights: Tensor, V: Tensor, prefix: tuple | None = None) -> Tensor:
     """Mask -> row sum -> degenerate-row fallback -> normalise.
 
-    ``weights`` (Lq, L) are nonnegative similarities of the query rows to
-    every key row. A row whose masked weight is at most EPS_DENOM returns
-    the value vector at the query's own position instead.
+    ``weights`` (Lq, L) are nonnegative similarities of the query rows to every key
+    row; ``prefix``, if given, adds a memory's weighted value sum and total weight. A
+    row whose total weight is at most EPS_DENOM returns the value at its own position.
     """
     lq, length = weights.shape
     weights = weights * _causal_mask(lq, length)
-    total = weights.sum(axis=1, keepdims=True)
+    values, total = weights @ V, weights.sum(axis=1, keepdims=True)
+    if prefix is not None:
+        values, total = values + prefix[0], total + prefix[1]
     keep = (total.data > EPS_DENOM).astype(np.float64)
     own = V.narrow(0, length - lq, lq)
-    return (weights @ V) / (total + (1.0 - keep)) * keep + own * (1.0 - keep)
+    return values / (total + (1.0 - keep)) * keep + own * (1.0 - keep)
 
 
 def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
@@ -255,16 +258,22 @@ def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
                          f"{Q.shape}, {K.shape}, {V.shape}")
 
 
-def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor,
-                              fmap: KernelFeatureMap) -> Tensor:
-    """Gradient-tracked linear attention, parallel form.
+def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, fmap: KernelFeatureMap,
+                              memory: AssociativeMemory | None = None) -> Tensor:
+    """Gradient-tracked linear attention, chunkwise form.
 
     K and V hold L rows; Q holds the last Lq <= L query rows. Row a equals
-    a memory query after absorbing key/value rows up to its own position.
+    a memory query after absorbing ``memory``'s rows, if any, and then the
+    key/value rows up to its own position; ``memory`` then absorbs all L.
     """
     _check_rows(Q, K, V)
-    weights = feature_map_apply_t(fmap, Q) @ feature_map_apply_t(fmap, K).T
-    return _causal_average(weights, V)
+    pq = feature_map_apply_t(fmap, Q)
+    weights = pq @ feature_map_apply_t(fmap, K).T
+    if memory is None:
+        return _causal_average(weights, V)
+    out = _causal_average(weights, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None])))
+    memory_update(memory, K.data, V.data)
+    return out
 
 
 def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,

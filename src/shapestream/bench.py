@@ -1,10 +1,10 @@
 """Attention-block throughput: constant-size memory vs stored-history attention.
 
 Measures the median per-frame step cost of the two sequence blocks at several
-history lengths L, with the model's own streaming operations. The mvp step
-is one ``memory_update`` + ``memory_query`` per head on its (m, d) memory,
+history lengths L, with the model's own streaming calls. The mvp step is
+``causal_linear_attention_t`` for the new row on each head's (m, d) memory,
 independent of L; the mvt step is ``exact_causal_attention_t`` for the new
-row over the stored L-row history, as ``forward_step`` runs it, linear in L.
+row over the stored L-row history, linear in L; ``forward_step`` runs both.
 ``heads`` independent heads make up each step, as in a multi-head layer.
 """
 
@@ -17,10 +17,9 @@ import numpy as np
 
 from .attention import (
     AssociativeMemory,
+    causal_linear_attention_t,
     exact_causal_attention_t,
     feature_map,
-    memory_query,
-    memory_update,
 )
 from .autograd import Tensor
 
@@ -39,18 +38,17 @@ def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 25
                     for _ in range(heads)]
         k_hist = [list(rng.standard_normal((L, d_qk))) for _ in range(heads)]
         v_hist = [list(rng.standard_normal((L, d))) for _ in range(heads)]
-        k = rng.standard_normal((heads, d_qk))
-        v = rng.standard_normal((heads, d))
-        q = rng.standard_normal((heads, d_qk))
+        k = rng.standard_normal((heads, 1, d_qk))
+        v = rng.standard_normal((heads, 1, d))
+        q = rng.standard_normal((heads, 1, d_qk))
 
         def memory_step():
             for h, mem in enumerate(memories):
-                memory_update(mem, k[h], v[h])
-                memory_query(mem, q[h], fallback=v[h])
+                causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), fmap, mem)
 
         def history_step():
             for h in range(heads):
-                exact_causal_attention_t(Tensor(q[h : h + 1]), Tensor(np.stack(k_hist[h])),
+                exact_causal_attention_t(Tensor(q[h]), Tensor(np.stack(k_hist[h])),
                                          Tensor(np.stack(v_hist[h])), kernel)
 
         for name, step in (("mvp", memory_step), ("mvt", history_step)):

@@ -23,7 +23,7 @@ from .bench import bench_attention, format_table, write_results
 from .checkpoint import CheckpointError, load_model
 from .metrics import EXPORT_KINDS, evaluate_split
 from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
-from .scenes import DEFAULT_VIEWS, PROTOCOLS, DatasetError, build_manifest, \
+from .scenes import DEFAULT_VIEWS, PROTOCOLS, SPLITS, DatasetError, build_manifest, \
     read_manifest, read_sequence_grids, write_dataset
 from .train import TrainingDiverged, train
 from .voxel import VxgError
@@ -104,7 +104,7 @@ def cmd_gen_data(args, argv: list) -> int:
         "views": args.views,
     })
     splits = {s: sum(1 for q in manifest.sequences if q.split == s)
-              for s in ("train", "val", "test")}
+              for s in SPLITS}
     print(f"protocol {manifest.protocol}: {len(manifest.objects)} objects, "
           f"{len(manifest.sequences)} sequences "
           f"(train/val/test = {splits['train']}/{splits['val']}/{splits['test']}), "
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True,
                     help="checkpoint path, or 'oracle' for the identity test hook")
     ev.add_argument("--data", required=True)
-    ev.add_argument("--split", choices=("train", "val", "test"), default="test")
+    ev.add_argument("--split", choices=SPLITS, default="test")
     ev.add_argument("--out", required=True)
     ev.add_argument("--export", default="",
                     help=f"comma-separated exports: {','.join(EXPORT_KINDS)}")

@@ -20,12 +20,12 @@ always lie in (0, 1).
 
 One frame-batched forward serves training and streaming: both encoder
 towers and the decoder run once on all L frames, and one block stack runs
-over (L, latent_dim) tokens. Only the mixing sublayer differs between the
-two uses. ``sequence_predictions`` (training) gives it no state, so mvp and
-mvt use the parallel form of causal attention and lstm starts from zeros.
-``forward_step`` (streaming) advances one frame with per-variant state:
-the recurrent memory for mvp (constant size), the stored key/value history
-for mvt (growing) and (h, c) for lstm. Both produce the same numbers;
+over (L, latent_dim) tokens. Only the mixing sublayer's state differs
+between the two uses: ``sequence_predictions`` (training) passes none, and
+``forward_step`` (streaming) advances one frame with per-variant state: the
+associative memory for mvp (constant size), read and then extended by the
+same chunkwise attention call as in training, the stored key/value history
+for mvt (growing) and (h, c) for lstm. Both uses produce the same numbers;
 ``stream_predictions`` runs ``forward_step`` over a whole sequence.
 Positional encodings are computed on demand, so a stream may run for any
 number of frames; ``max_views`` bounds only the length of one unrolled pass.
@@ -371,20 +371,13 @@ def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: dict | None) -> Tensor
     return concat(rows, axis=0)
 
 
-def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, memory
-            ) -> Tensor:
+def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, memory) -> Tensor:
     """One head of causal attention for the new rows. ``memory`` is None in
     the parallel form, else the head's streaming state: an associative
     memory (mvp) or the stored key/value history (mvt)."""
     cfg = model.config
     if cfg.variant == "mvp":
-        if memory is None:
-            return attn.causal_linear_attention_t(q, k, v, model.fmaps[head])
-        rows = []
-        for qi, ki, vi in zip(q.data, k.data, v.data):
-            attn.memory_update(memory, ki, vi)
-            rows.append(attn.memory_query(memory, qi, fallback=vi))
-        return Tensor(np.stack(rows))
+        return attn.causal_linear_attention_t(q, k, v, model.fmaps[head], memory)
     if memory is not None:
         memory["keys"].extend(k.data)
         memory["values"].extend(v.data)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,7 @@ PAN_HEIGHT = 0.25           # circle height above the centroid plane
 FIXED_CAM_DISTANCE = 0.55   # fixed-camera protocols: standoff from centroid
 FIXED_CAM_HEIGHT = 0.15     # lower pitch keeps the occluder's shadow flat
 MANIFEST_VERSION = 1
+SPLITS = ("train", "val", "test")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,15 @@ class DatasetError(Exception):
     """A dataset manifest that is not valid JSON or holds invalid fields."""
 
 
+def _with_fields(raw, spec, where: str) -> dict:
+    """``raw`` if it is a JSON object with exactly the fields of dataclass ``spec``."""
+    names = sorted(f.name for f in fields(spec))
+    if not isinstance(raw, dict) or sorted(raw) != names:
+        got = sorted(raw) if isinstance(raw, dict) else type(raw).__name__
+        raise DatasetError(f"{where} must be an object with keys {names}, got {got}")
+    return raw
+
+
 @dataclass
 class ObjectSpec:
     object_id: str
@@ -337,13 +347,31 @@ class DatasetManifest:
             raise DatasetError("manifest must be a JSON object")
         if raw.get("version") != MANIFEST_VERSION:
             raise DatasetError(f"unsupported manifest version {raw.get('version')}")
-        raw["objects"] = [ObjectSpec(**o) for o in raw["objects"]]
-        raw["sequences"] = [SequenceSpec(**s) for s in raw["sequences"]]
+        _with_fields(raw, cls, "manifest")
+        for key, spec in (("objects", ObjectSpec), ("sequences", SequenceSpec)):
+            if not isinstance(raw[key], list):
+                raise DatasetError(f"manifest {key} must be a list")
+            raw[key] = [spec(**_with_fields(e, spec, f"manifest {key} entry")) for e in raw[key]]
         manifest = cls(**raw)
         for name in ("resolution", "views", "image_size"):
             value = getattr(manifest, name)
             if type(value) is not int or value < 1:
                 raise DatasetError(f"manifest {name} must be an integer >= 1, got {value!r}")
+        extent = manifest.extent
+        if type(extent) not in (int, float) or not 0.0 < extent < float("inf"):
+            raise DatasetError(f"manifest extent must be a finite number > 0, got {extent!r}")
+        known = manifest.objects_by_id()
+        for seq in manifest.sequences:
+            if seq.split not in SPLITS:
+                raise DatasetError(f"manifest sequence {seq.seq_id!r} has split {seq.split!r}, "
+                                   f"not one of {SPLITS}")
+            if type(seq.object_ids) is not list or any(type(o) is not str for o in seq.object_ids):
+                raise DatasetError(f"manifest sequence {seq.seq_id!r} object_ids must be a "
+                                   f"list of strings, got {seq.object_ids!r}")
+            unknown = [o for o in seq.object_ids if o not in known]
+            if unknown:
+                raise DatasetError(f"manifest sequence {seq.seq_id!r} names unknown "
+                                   f"objects {unknown}")
         return manifest
 
 
@@ -392,7 +420,7 @@ def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,
     ]
     # two-object protocols pair objects within their split so no split leaks
     # into another; the others take one object per sequence
-    groups = ([[o for o in objects if o.split == split] for split in ("train", "val", "test")]
+    groups = ([[o for o in objects if o.split == split] for split in SPLITS]
               if two_object else [[o] for o in objects])
     sequences = []
     for members in groups:

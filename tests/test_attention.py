@@ -102,6 +102,17 @@ def test_single_update_is_outer_product():
     assert mem.count == 1
     np.testing.assert_allclose(mem.M, np.outer([1.0, 0.0, 0.5], v))
     np.testing.assert_allclose(mem.m_vec, [1.0, 0.0, 0.5])
+    # a (c, d_qk)/(c, d) block is the same as its c rows one after another
+    block = memory_update(AssociativeMemory.fresh(fmap, d=2),
+                          np.stack([k, -k, 2 * k]), np.stack([v, -v, 0.5 * v]))
+    rows = AssociativeMemory.fresh(fmap, d=2)
+    for scale_k, scale_v in ((1, 1), (-1, -1), (2, 0.5)):
+        memory_update(rows, scale_k * k, scale_v * v)
+    assert block.count == rows.count == 3
+    np.testing.assert_array_equal(block.M, rows.M)
+    np.testing.assert_array_equal(block.m_vec, rows.m_vec)
+    with pytest.raises(ValueError, match="value shape"):
+        memory_update(block, np.stack([k, k]), v)
 
 
 def test_single_frame_query_returns_value_exactly():
@@ -292,8 +303,11 @@ def test_linear_softmax_converges_to_exact_with_many_features():
     L=st.integers(1, 24),
     d=st.integers(1, 12),
     seed=st.integers(0, 2**31),
+    cuts=st.sets(st.integers(1, 23), max_size=6),
 )
-def test_stream_equals_batch_property(kind, L, d, seed):
+def test_stream_equals_batch_property(kind, L, d, seed, cuts):
+    """Row-by-row memory queries, and the chunkwise Tensor form over a drawn
+    split of the L rows into chunks, both equal the batch result."""
     rng = RNG(seed)
     fmap = (feature_map("relu", d_qk=d) if kind == "relu"
             else feature_map("softmax", d_qk=d, m=2 * d, seed=seed))
@@ -306,6 +320,12 @@ def test_stream_equals_batch_property(kind, L, d, seed):
         memory_update(mem, K[i], V[i])
         streamed = memory_query(mem, Q[i], fallback=V[i])
         assert np.max(np.abs(streamed - batch[i])) < 1e-10
+    mem = AssociativeMemory.fresh(fmap, d=d + 1)
+    bounds = [0, *sorted(c for c in cuts if c < L), L]
+    chunks = [causal_linear_attention_t(Tensor(Q[a:b]), Tensor(K[a:b]), Tensor(V[a:b]),
+                                        fmap, mem).data for a, b in zip(bounds, bounds[1:])]
+    assert np.max(np.abs(np.concatenate(chunks) - batch)) < 1e-10
+    assert mem.count == L
 
 
 def test_causality_perturbation_only_affects_later_rows():
@@ -366,12 +386,25 @@ def test_tensor_feature_map_matches_ndarray():
 
 
 def test_tensor_linear_attention_matches_ndarray():
+    """The parallel form, and the chunkwise form over chunks of 1, 2 and 3
+    rows into one memory, which ends equal to row-by-row updates."""
     for Q, K, V, lq in _attention_inputs(RNG(11)):
         for fmap in (feature_map("relu", d_qk=4),
                      feature_map("softmax", d_qk=4, m=8, seed=1)):
-            want = causal_linear_attention(Q, K, V, fmap)[-lq:]
+            want = causal_linear_attention(Q, K, V, fmap)
             got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap)
-            np.testing.assert_allclose(got.data, want, atol=1e-12)
+            np.testing.assert_allclose(got.data, want[-lq:], atol=1e-12)
+            mem = AssociativeMemory.fresh(fmap, d=V.shape[1])
+            for a, b in ((0, 1), (1, 3), (3, len(Q))):
+                got = causal_linear_attention_t(Tensor(Q[a:b]), Tensor(K[a:b]),
+                                                Tensor(V[a:b]), fmap, mem)
+                np.testing.assert_allclose(got.data, want[a:b], atol=1e-12)
+            rows = AssociativeMemory.fresh(fmap, d=V.shape[1])
+            for k, v in zip(K, V):
+                memory_update(rows, k, v)
+            assert mem.count == rows.count == len(Q)
+            np.testing.assert_allclose(mem.M, rows.M, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mem.m_vec, rows.m_vec, rtol=0, atol=1e-12)
 
 
 def test_tensor_exact_attention_matches_ndarray():
@@ -383,6 +416,8 @@ def test_tensor_exact_attention_matches_ndarray():
 
 
 def test_tensor_attention_gradients_flow_to_inputs():
+    """Gradients reach Q, K and V; a chunk read after a memory gets the same
+    query gradient as those rows of the parallel form."""
     rng = RNG(13)
     L, d = 4, 3
     Q, K, V = (Tensor(rng.standard_normal((L, d)), requires_grad=True) for _ in range(3))
@@ -390,3 +425,12 @@ def test_tensor_attention_gradients_flow_to_inputs():
     causal_linear_attention_t(Q, K, V, fmap).sum().backward()
     assert Q.grad is not None and K.grad is not None and V.grad is not None
     assert np.any(V.grad[0] != 0)
+    whole = Tensor(Q.data, requires_grad=True)
+    causal_linear_attention_t(whole, K, V, fmap).narrow(0, 2, 2).sum().backward()
+    mem = AssociativeMemory.fresh(fmap, d)
+    causal_linear_attention_t(Tensor(Q.data[:2]), Tensor(K.data[:2]), Tensor(V.data[:2]),
+                              fmap, mem)
+    chunk = Tensor(Q.data[2:], requires_grad=True)
+    causal_linear_attention_t(chunk, Tensor(K.data[2:]), Tensor(V.data[2:]), fmap, mem
+                              ).sum().backward()
+    np.testing.assert_allclose(chunk.grad, whole.grad[2:], rtol=0, atol=1e-12)

@@ -289,18 +289,34 @@ def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, mes
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("edit", ["views_zero", "resolution_string", "image_size_float",
-                                  "version_2", "not_json", "not_utf8", "json_list"])
+MANIFEST_EDITS = {
+    "views_zero": lambda m: m.update(views=0),
+    "resolution_string": lambda m: m.update(resolution="8"),
+    "image_size_float": lambda m: m.update(image_size=2.5),
+    "version_2": lambda m: m.update(version=2),
+    "objects_missing": lambda m: m.pop("objects"),
+    "top_key_unknown": lambda m: m.update(colour="red"),
+    "object_key_unknown": lambda m: m["objects"][0].update(colour="red"),
+    "sequence_key_missing": lambda m: m["sequences"][0].pop("seed"),
+    "extent_string": lambda m: m.update(extent="0.3"),
+    "extent_nan": lambda m: m.update(extent=float("nan")),
+    "extent_negative": lambda m: m.update(extent=-0.3),
+    "extent_zero": lambda m: m.update(extent=0),
+    "split_unknown": lambda m: m["sequences"][0].update(split="bogus"),
+    "object_id_unknown": lambda m: m["sequences"][0].update(object_ids=["obj9999"]),
+    "object_ids_int": lambda m: m["sequences"][0].update(object_ids=5),
+    "object_ids_str": lambda m: m["sequences"][0].update(object_ids=m["objects"][0]["object_id"]),
+    "object_ids_nested": lambda m: m["sequences"][0].update(object_ids=[["obj0000"]]),
+}
+
+
+@pytest.mark.parametrize("edit", [*MANIFEST_EDITS, "not_json", "not_utf8", "json_list"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_invalid_manifest_exits_3_before_out(tmp_path, capsys, command, edit):
     data = gen(tmp_path)
     path = tmp_path / "data" / "manifest.json"
     manifest = json.loads(path.read_text())
-    key, value = {"views_zero": ("views", 0), "resolution_string": ("resolution", "8"),
-                  "image_size_float": ("image_size", 2.5),
-                  "version_2": ("version", 2)}.get(edit, (None, None))
-    if key:
-        manifest[key] = value
+    MANIFEST_EDITS.get(edit, lambda m: None)(manifest)
     path.write_bytes({"not_json": b'{"protocol": ', "not_utf8": b'{"protocol": "\xff"}',
                       "json_list": b"[1, 2]"}.get(edit, json.dumps(manifest).encode()))
     out = tmp_path / "run"

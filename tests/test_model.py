@@ -6,13 +6,14 @@ import pytest
 from oracles import finite_diff, max_rel_error
 from shapestream.model import (
     ModelConfig,
+    _forward,
     bce_from_predictions,
     build_model,
     forward_step,
     sequence_loss,
     sequence_predictions,
 )
-from shapestream.autograd import Tensor
+from shapestream.autograd import Tensor, no_grad
 from shapestream.optim import adam_update, AdamState, gradients_of, zero_gradients
 from shapestream.voxel import VoxelGrid
 
@@ -138,6 +139,32 @@ def test_forward_step_matches_unroll_softmax_kernel():
     for i, frame in enumerate(as_grids(values)):
         pred, state = forward_step(model, state, frame)
         np.testing.assert_allclose(pred.values, unrolled[i].data, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant,kernel,heads", [("mvp", "relu", 1), ("mvp", "softmax", 2),
+                                                  ("mvt", "softmax", 1), ("lstm", "relu", 1)])
+def test_streamed_blocks_of_frames_match_sequence_unroll(variant, kernel, heads):
+    """Blocks of 2, 1 and 3 frames streamed through one state give the
+    unrolled predictions."""
+    model = build_model(tiny_config(variant, kernel=kernel, attention_heads=heads))
+    values, _ = random_frames(6, seed=33)
+    unrolled = np.stack([p.data for p in sequence_predictions(model, values)])
+    state = model.init_state()
+    with no_grad():
+        for a, b in ((0, 2), (2, 3), (3, 6)):
+            got = _forward(model, np.stack(values[a:b]), a, state).data
+            np.testing.assert_allclose(got, unrolled[a:b], rtol=0, atol=1e-12)
+
+
+def test_non_finite_key_weight_rejected_memories_unmodified():
+    model = build_model(tiny_config("mvp", attention_heads=2))
+    model.params["blk0.wk"].data[0, 0] = np.nan
+    state = model.init_state()
+    frame = as_grids(random_frames(1, seed=34)[0])[0]
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_step(model, state, frame)
+    assert all(mem.count == 0 and not mem.M.any() and not mem.m_vec.any()
+               for layer in state.layers for mem in layer)
 
 
 def test_mvp_state_size_constant_mvt_state_grows():
