@@ -21,11 +21,11 @@ The model computes it in one chunkwise form, ``causal_linear_attention_t``
 (Katharopoulos et al. 2020, "Transformers are RNNs", sec. 3.4; Yang et al.
 2024, "Gated Linear Attention Transformers"): c new rows read a memory plus
 their own causal-masked weights phi(Q) phi(K)^T, then the memory absorbs
-them. Training passes no memory, streaming each head's memory. The exact
-attention (``exact_causal_attention_t``) differs only in its weights,
-exp(Q K^T - rowmax) or the relu kernel; both share one mask, row-sum,
-fallback and normalize step. The numpy ``causal_linear_attention`` and
-``exact_causal_attention`` are the row-by-row references.
+them. Training starts from fresh memories, streaming passes running ones.
+The exact attention (``exact_causal_attention_t``) differs only in its
+weights, exp(Q K^T - rowmax) or the relu kernel; both share one mask,
+row-sum, fallback and normalize step. The numpy ``causal_linear_attention``
+and ``exact_causal_attention`` are the row-by-row references.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -259,19 +259,19 @@ def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
 
 
 def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, fmap: KernelFeatureMap,
-                              memory: AssociativeMemory | None = None) -> Tensor:
+                              memory: AssociativeMemory) -> Tensor:
     """Gradient-tracked linear attention, chunkwise form.
 
     K and V hold L rows; Q holds the last Lq <= L query rows. Row a equals
-    a memory query after absorbing ``memory``'s rows, if any, and then the
-    key/value rows up to its own position; ``memory`` then absorbs all L.
+    a memory query after absorbing ``memory``'s rows and then the key/value
+    rows up to its own position; ``memory`` then absorbs all L. An empty
+    memory's M and m_vec are zero, so its prefix is not added.
     """
     _check_rows(Q, K, V)
     pq = feature_map_apply_t(fmap, Q)
     weights = pq @ feature_map_apply_t(fmap, K).T
-    if memory is None:
-        return _causal_average(weights, V)
-    out = _causal_average(weights, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None])))
+    out = _causal_average(weights, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None]))
+                          if memory.count else None)
     memory_update(memory, K.data, V.data)
     return out
 

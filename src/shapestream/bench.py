@@ -3,8 +3,8 @@
 Measures the median per-frame step cost of the two sequence blocks at several
 history lengths L, with the model's own streaming calls. The mvp step is
 ``causal_linear_attention_t`` for the new row on each head's (m, d) memory,
-independent of L; the mvt step is ``exact_causal_attention_t`` for the new
-row over the stored L-row history, linear in L; ``forward_step`` runs both.
+independent of L; the mvt step appends it to an (L-1)-row key/value history
+and runs ``exact_causal_attention_t`` over all L rows, as ``forward_step`` does.
 ``heads`` independent heads make up each step, as in a multi-head layer.
 """
 
@@ -21,7 +21,7 @@ from .attention import (
     exact_causal_attention_t,
     feature_map,
 )
-from .autograd import Tensor
+from .autograd import Tensor, concat
 
 
 def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 256,
@@ -36,8 +36,8 @@ def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 25
         memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, d)),
                                       m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
                     for _ in range(heads)]
-        k_hist = [list(rng.standard_normal((L, d_qk))) for _ in range(heads)]
-        v_hist = [list(rng.standard_normal((L, d))) for _ in range(heads)]
+        k_hist = rng.standard_normal((heads, L - 1, d_qk))
+        v_hist = rng.standard_normal((heads, L - 1, d))
         k = rng.standard_normal((heads, 1, d_qk))
         v = rng.standard_normal((heads, 1, d))
         q = rng.standard_normal((heads, 1, d_qk))
@@ -48,8 +48,8 @@ def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 25
 
         def history_step():
             for h in range(heads):
-                exact_causal_attention_t(Tensor(q[h]), Tensor(np.stack(k_hist[h])),
-                                         Tensor(np.stack(v_hist[h])), kernel)
+                exact_causal_attention_t(Tensor(q[h]), concat([Tensor(k_hist[h]), Tensor(k[h])]),
+                                         concat([Tensor(v_hist[h]), Tensor(v[h])]), kernel)
 
         for name, step in (("mvp", memory_step), ("mvt", history_step)):
             step()  # warm up caches and BLAS dispatch

@@ -150,14 +150,14 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
 def cmd_train(args, argv: list) -> int:
     manifest = read_manifest(args.data)
     config, train_settings = _assemble_model_config(args, manifest)
-    out = _prepare_out(args.out, args.force)
-    if config.variant == "single_view":
-        print("note: single_view keeps no sequence state; views are completed "
-              "independently")
     train_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "train")]
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
         raise MismatchError(f"dataset {args.data} has no train split")
+    out = _prepare_out(args.out, args.force)
+    if config.variant == "single_view":
+        print("note: single_view keeps no sequence state; views are completed "
+              "independently")
     result = train(config, train_data, val_data, checkpoint_path=out / "checkpoint.mvpc",
                    metrics_path=out / "metrics.csv", **train_settings)
     _write_provenance(out, argv, config.seed, config.to_dict())

@@ -18,14 +18,15 @@ query/key and value widths, each head owning its own memory. Intermediate
 activations are ReLU; the output activation is a sigmoid, so predictions
 always lie in (0, 1).
 
-One frame-batched forward serves training and streaming: both encoder
-towers and the decoder run once on all L frames, and one block stack runs
-over (L, latent_dim) tokens. Only the mixing sublayer's state differs
-between the two uses: ``sequence_predictions`` (training) passes none, and
-``forward_step`` (streaming) advances one frame with per-variant state: the
-associative memory for mvp (constant size), read and then extended by the
-same chunkwise attention call as in training, the stored key/value history
-for mvt (growing) and (h, c) for lstm. Both uses produce the same numbers;
+One stateful forward serves training and streaming: both encoder towers
+and the decoder run once on all L new frames, and one block stack runs over
+their (L, latent_dim) tokens, each block's mixing sublayer reading its slot
+of the per-sequence state and replacing it with the slot advanced by the L
+rows: the associative memory for mvp (constant size), the stored key/value
+history for mvt (growing) and (h, c) for lstm. A training sequence is the
+recurrence unrolled from a fresh state (``sequence_predictions``, with
+gradients); ``forward_step`` advances a copy of the caller's state by one
+frame, so a step that raises leaves the caller's state as it was.
 ``stream_predictions`` runs ``forward_step`` over a whole sequence.
 Positional encodings are computed on demand, so a stream may run for any
 number of frames; ``max_views`` bounds only the length of one unrolled pass.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import logging
 import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -196,7 +197,9 @@ class MvpModel:
 
 @dataclass
 class SequenceState:
-    """Per-sequence streaming state; constant-size for mvp, growing for mvt."""
+    """Per-sequence streaming state; constant-size for mvp, growing for mvt.
+    ``layers[l]`` lists block l's slots (see ``fresh``), which the forward
+    replaces and never mutates."""
 
     variant: str
     frame_index: int = 0
@@ -205,32 +208,24 @@ class SequenceState:
     @classmethod
     def fresh(cls, model: MvpModel) -> "SequenceState":
         cfg = model.config
-        layers: list = []
-        for _ in range(cfg.performer_layers):
+
+        def slots() -> list:
             if cfg.variant == "mvp":
-                layers.append([attn.AssociativeMemory.fresh(fmap, cfg.head_value_dim)
-                               for fmap in model.fmaps])
-            elif cfg.variant == "mvt":
-                layers.append([{"keys": [], "values": []}
-                               for _ in range(cfg.attention_heads)])
-            elif cfg.variant == "lstm":
-                layers.append({"h": np.zeros((1, cfg.latent_dim)),
-                               "c": np.zeros((1, cfg.latent_dim))})
-        return cls(variant=cfg.variant, layers=layers)
+                return [attn.AssociativeMemory.fresh(fmap, cfg.head_value_dim)
+                        for fmap in model.fmaps]
+            if cfg.variant == "mvt":
+                return [(np.zeros((0, cfg.head_qk_dim)), np.zeros((0, cfg.head_value_dim)))
+                        for _ in range(cfg.attention_heads)]
+            if cfg.variant == "lstm":
+                return [(np.zeros((1, cfg.latent_dim)), np.zeros((1, cfg.latent_dim)))]
+            return []
+
+        return cls(variant=cfg.variant, layers=[slots() for _ in range(cfg.performer_layers)])
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        for layer in self.layers:
-            if self.variant == "mvp":
-                total += sum(mem.nbytes for mem in layer)
-            elif self.variant == "mvt":
-                for hist in layer:
-                    total += sum(a.nbytes for a in hist["keys"])
-                    total += sum(a.nbytes for a in hist["values"])
-            else:
-                total += layer["h"].nbytes + layer["c"].nbytes
-        return total
+        return sum(slot.nbytes if self.variant == "mvp" else sum(a.nbytes for a in slot)
+                   for layer in self.layers for slot in layer)
 
 
 def _he(rng: np.random.Generator, shape: tuple, fan_in: int) -> np.ndarray:
@@ -356,73 +351,65 @@ def _lstm_cell(model: MvpModel, l: int, x: Tensor, h: Tensor, c: Tensor
     return h_new, c_new
 
 
-def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: dict | None) -> Tensor:
-    """Hidden states of the row recurrence, from zeros or from ``carry``'s
-    (h, c), which is advanced in place."""
-    zeros = np.zeros((1, model.config.latent_dim))
-    h = Tensor(zeros if carry is None else carry["h"])
-    c = Tensor(zeros if carry is None else carry["c"])
+def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: tuple) -> tuple[Tensor, tuple]:
+    """Hidden states of the row recurrence from ``carry``'s (h, c), and the
+    (h, c) after the last row."""
+    h, c = (Tensor(a) for a in carry)
     rows = []
     for i in range(x.shape[0]):
         h, c = _lstm_cell(model, l, x.narrow(0, i, 1), h, c)
         rows.append(h)
-    if carry is not None:
-        carry["h"], carry["c"] = h.data, c.data
-    return concat(rows, axis=0)
+    return concat(rows, axis=0), (h.data, c.data)
 
 
-def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, memory) -> Tensor:
-    """One head of causal attention for the new rows. ``memory`` is None in
-    the parallel form, else the head's streaming state: an associative
-    memory (mvp) or the stored key/value history (mvt)."""
+def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, slot
+            ) -> tuple[Tensor, object]:
+    """One head of causal attention for the new rows after the head's slot of
+    the state, an associative memory (mvp) or the stored key/value history
+    (mvt); returns the rows and the slot advanced by them."""
     cfg = model.config
     if cfg.variant == "mvp":
-        return attn.causal_linear_attention_t(q, k, v, model.fmaps[head], memory)
-    if memory is not None:
-        memory["keys"].extend(k.data)
-        memory["values"].extend(v.data)
-        k, v = Tensor(np.stack(memory["keys"])), Tensor(np.stack(memory["values"]))
-    return attn.exact_causal_attention_t(q, k, v, cfg.kernel)
+        memory = replace(slot)
+        return attn.causal_linear_attention_t(q, k, v, model.fmaps[head], memory), memory
+    keys, values = (concat([Tensor(old), new]) for old, new in zip(slot, (k, v)))
+    return attn.exact_causal_attention_t(q, keys, values, cfg.kernel), (keys.data, values.data)
 
 
-def _mix(model: MvpModel, l: int, x: Tensor, state: SequenceState | None) -> Tensor:
+def _mix(model: MvpModel, l: int, x: Tensor, layer: list) -> Tensor:
     """The sequence-mixing sublayer of block ``l``: the only part of the
-    block stack that reads or advances the streaming state."""
+    block stack that reads the state, replacing ``layer``'s slots."""
     cfg = model.config
     p = model.params
     if cfg.variant == "single_view":
         return (x @ p[f"blk{l}.dense.w"] + p[f"blk{l}.dense.b"]).relu()
-    layer = None if state is None else state.layers[l]
     if cfg.variant == "lstm":
-        return _lstm_rows(model, l, x, layer)
+        out, layer[0] = _lstm_rows(model, l, x, layer[0])
+        return out
     q, k, v = (x @ p[f"blk{l}.w{name}"] for name in "qkv")
     hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-    heads = [_attend(model, h, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
-                     v.narrow(1, h * hv, hv), None if layer is None else layer[h])
-             for h in range(cfg.attention_heads)]
+    heads, layer[:] = zip(*(_attend(model, h, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
+                                    v.narrow(1, h * hv, hv), layer[h])
+                            for h in range(cfg.attention_heads)))
     return concat(heads, axis=1) @ p[f"blk{l}.wo"]
 
 
-def _blocks(model: MvpModel, x: Tensor, state: SequenceState | None) -> Tensor:
+def _blocks(model: MvpModel, x: Tensor, state: SequenceState) -> Tensor:
     """The pre-normalized residual block stack over (L, latent_dim) tokens."""
     p = model.params
     for l in range(model.config.performer_layers):
-        x = x + _mix(model, l, _rms_norm(x, p[f"blk{l}.norm1.scale"]), state)
+        x = x + _mix(model, l, _rms_norm(x, p[f"blk{l}.norm1.scale"]), state.layers[l])
         x = x + _mlp(model, l, _rms_norm(x, p[f"blk{l}.norm2.scale"]))
     return x
 
 
-def _forward(model: MvpModel, values: np.ndarray, start: int,
-             state: SequenceState | None = None) -> Tensor:
-    """(L, r, r, r) predictions for frames start..start+L-1 of a sequence.
-
-    Without ``state`` the block stack runs the parallel form over the L
-    frames alone; with it, the frames continue the streamed sequence and the
-    state absorbs them.
-    """
-    positions = sinusoidal_positions(start, len(values), model.config.latent_dim)
+def _forward(model: MvpModel, values: np.ndarray, state: SequenceState) -> Tensor:
+    """(L, r, r, r) predictions for the L frames that continue ``state``'s
+    sequence, which absorbs them."""
+    positions = sinusoidal_positions(state.frame_index, len(values), model.config.latent_dim)
     tokens = _encode(model, "ctx", values) + Tensor(positions)
-    return _decode(model, _encode(model, "frame", values) + _blocks(model, tokens, state))
+    preds = _decode(model, _encode(model, "frame", values) + _blocks(model, tokens, state))
+    state.frame_index += len(values)
+    return preds
 
 
 def _frame_values(frame) -> np.ndarray:
@@ -447,14 +434,15 @@ def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
         if v.shape != (cfg.resolution,) * 3:
             raise ValueError(
                 f"frame shape {v.shape} does not match model resolution {cfg.resolution}")
-    preds = _forward(model, np.stack(values), 0)
+    preds = _forward(model, np.stack(values), model.init_state())
     r = cfg.resolution
     return [preds.narrow(0, i, 1).reshape(r, r, r) for i in range(len(frames))]
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
                  ) -> tuple[VoxelGrid, SequenceState]:
-    """Absorb one frame and predict the full occupancy in its camera frame."""
+    """The full occupancy in ``frame``'s camera frame, and a copy of ``state``
+    that has absorbed the frame; ``state`` itself is left unchanged."""
     cfg = model.config
     if state.variant != cfg.variant:
         raise ValueError(f"state variant {state.variant!r} does not match model "
@@ -462,9 +450,9 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     if frame.resolution != cfg.resolution:
         raise ValueError(f"frame resolution {frame.resolution} does not match "
                          f"model resolution {cfg.resolution}")
+    state = replace(state, layers=[list(layer) for layer in state.layers])
     with no_grad():
-        pred = _forward(model, frame.values[None], state.frame_index, state)
-    state.frame_index += 1
+        pred = _forward(model, frame.values[None], state)
     return VoxelGrid(pred.data[0], frame.origin, frame.voxel_size), state
 
 

@@ -284,7 +284,7 @@ def fully_occluded_frames(seq: ViewSequence) -> list[int]:
 
 
 class DatasetError(Exception):
-    """A dataset manifest that is not valid JSON or holds invalid fields."""
+    """A dataset whose manifest or grids are malformed or do not fit together."""
 
 
 def _with_fields(raw, spec, where: str) -> dict:
@@ -360,8 +360,18 @@ class DatasetManifest:
         extent = manifest.extent
         if type(extent) not in (int, float) or not 0.0 < extent < float("inf"):
             raise DatasetError(f"manifest extent must be a finite number > 0, got {extent!r}")
+        for obj in manifest.objects:
+            scale = obj.scale
+            if obj.kind not in OBJECT_KINDS or type(obj.seed) is not int \
+                    or type(scale) not in (int, float) or not 0.0 < scale < float("inf"):
+                raise DatasetError(f"manifest object {obj.object_id!r} needs a kind in "
+                                   f"{OBJECT_KINDS}, an integer seed and a finite scale > 0, "
+                                   f"got {obj.kind!r}, {obj.seed!r}, {obj.scale!r}")
         known = manifest.objects_by_id()
         for seq in manifest.sequences:
+            if type(seq.seed) is not int:
+                raise DatasetError(f"manifest sequence {seq.seq_id!r} seed must be an "
+                                   f"integer, got {seq.seed!r}")
             if seq.split not in SPLITS:
                 raise DatasetError(f"manifest sequence {seq.seq_id!r} has split {seq.split!r}, "
                                    f"not one of {SPLITS}")
@@ -479,9 +489,17 @@ def read_manifest(data_dir) -> DatasetManifest:
 
 def read_sequence_grids(data_dir, manifest: DatasetManifest,
                         spec: SequenceSpec) -> tuple[list[VoxelGrid], list[VoxelGrid]]:
+    """A sequence's input and target grids, checked against the manifest and each other."""
     data = Path(data_dir)
     frames, targets = [], []
     for i in range(manifest.views):
-        frames.append(read_vxg(data / f"{spec.seq_id}_{i}_in.vxg"))
-        targets.append(read_vxg(data / f"{spec.seq_id}_{i}_gt.vxg"))
+        frame, target = (read_vxg(data / f"{spec.seq_id}_{i}_{k}.vxg") for k in ("in", "gt"))
+        if {frame.resolution, target.resolution} != {manifest.resolution}:
+            raise DatasetError(f"{spec.seq_id} frame {i}: grid resolutions {frame.resolution}, "
+                               f"{target.resolution}; manifest resolution {manifest.resolution}")
+        if frame.voxel_size != target.voxel_size or np.any(frame.origin != target.origin):
+            raise DatasetError(f"{spec.seq_id} frame {i}: input and target grids differ in "
+                               f"origin or voxel size")
+        frames.append(frame)
+        targets.append(target)
     return frames, targets

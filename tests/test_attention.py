@@ -392,7 +392,8 @@ def test_tensor_linear_attention_matches_ndarray():
         for fmap in (feature_map("relu", d_qk=4),
                      feature_map("softmax", d_qk=4, m=8, seed=1)):
             want = causal_linear_attention(Q, K, V, fmap)
-            got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap)
+            got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap,
+                                            AssociativeMemory.fresh(fmap, d=V.shape[1]))
             np.testing.assert_allclose(got.data, want[-lq:], atol=1e-12)
             mem = AssociativeMemory.fresh(fmap, d=V.shape[1])
             for a, b in ((0, 1), (1, 3), (3, len(Q))):
@@ -422,11 +423,12 @@ def test_tensor_attention_gradients_flow_to_inputs():
     L, d = 4, 3
     Q, K, V = (Tensor(rng.standard_normal((L, d)), requires_grad=True) for _ in range(3))
     fmap = feature_map("softmax", d_qk=d, m=6, seed=2)
-    causal_linear_attention_t(Q, K, V, fmap).sum().backward()
+    causal_linear_attention_t(Q, K, V, fmap, AssociativeMemory.fresh(fmap, d)).sum().backward()
     assert Q.grad is not None and K.grad is not None and V.grad is not None
     assert np.any(V.grad[0] != 0)
     whole = Tensor(Q.data, requires_grad=True)
-    causal_linear_attention_t(whole, K, V, fmap).narrow(0, 2, 2).sum().backward()
+    causal_linear_attention_t(whole, K, V, fmap, AssociativeMemory.fresh(fmap, d)
+                              ).narrow(0, 2, 2).sum().backward()
     mem = AssociativeMemory.fresh(fmap, d)
     causal_linear_attention_t(Tensor(Q.data[:2]), Tensor(K.data[:2]), Tensor(V.data[:2]),
                               fmap, mem)

@@ -271,22 +271,34 @@ def test_eval_unknown_export_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("damage,message", [("truncated", "truncated payload"),
                                             ("bad_magic", "bad magic"),
-                                            ("value_2", "malformed grid")])
+                                            ("value_2", "malformed grid"),
+                                            ("resolution_16", "manifest resolution 8"),
+                                            ("origin_moved", "origin or voxel size"),
+                                            ("voxel_size_doubled", "origin or voxel size")])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, message):
+    """Every damage fails with exit 3 before ``--out`` exists, among them a
+    well-formed 16^3 input grid in an r=8 dataset and an input grid off its
+    target's origin or voxel size."""
     data = gen(tmp_path)
     for path in (tmp_path / "data").glob("*_0_in.vxg"):  # frame 0 of every split
         blob = path.read_bytes()
-        path.write_bytes({"truncated": blob[:-1], "bad_magic": b"XXXX" + blob[4:],
-                          "value_2": blob[:24] + struct.pack("<f", 2.0) + blob[28:]}[damage])
+        (voxel_size,) = struct.unpack_from("<f", blob, 20)
+        path.write_bytes({
+            "truncated": blob[:-1], "bad_magic": b"XXXX" + blob[4:],
+            "value_2": blob[:24] + struct.pack("<f", 2.0) + blob[28:],
+            "resolution_16": blob[:4] + struct.pack("<I", 16) + blob[8:24] + bytes(4 * 16 ** 3),
+            "origin_moved": blob[:8] + struct.pack("<3f", 1.0, 2.0, 3.0) + blob[20:],
+            "voxel_size_doubled": blob[:20] + struct.pack("<f", 2 * voxel_size) + blob[24:],
+        }[damage])
+    out = tmp_path / "run"
     if command == "train":
-        argv = ["train", "--data", data, "--out", str(tmp_path / "run"), *TINY_TRAIN,
-                "--steps", "1"]
+        argv = ["train", "--data", data, "--out", str(out), *TINY_TRAIN, "--steps", "1"]
     else:
-        argv = ["eval", "--checkpoint", "oracle", "--data", data,
-                "--out", str(tmp_path / "ev")]
+        argv = ["eval", "--checkpoint", "oracle", "--data", data, "--out", str(out)]
     assert main(argv) == 3
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 MANIFEST_EDITS = {
@@ -307,6 +319,13 @@ MANIFEST_EDITS = {
     "object_ids_int": lambda m: m["sequences"][0].update(object_ids=5),
     "object_ids_str": lambda m: m["sequences"][0].update(object_ids=m["objects"][0]["object_id"]),
     "object_ids_nested": lambda m: m["sequences"][0].update(object_ids=[["obj0000"]]),
+    "object_seed_string": lambda m: m["objects"][0].update(seed="x"),
+    "object_seed_float": lambda m: m["objects"][0].update(seed=1.5),
+    "object_scale_string": lambda m: m["objects"][0].update(scale="big"),
+    "object_scale_zero": lambda m: m["objects"][0].update(scale=0),
+    "object_scale_inf": lambda m: m["objects"][0].update(scale=float("inf")),
+    "object_kind_unknown": lambda m: m["objects"][0].update(kind="torus"),
+    "sequence_seed_null": lambda m: m["sequences"][0].update(seed=None),
 }
 
 

@@ -12,7 +12,9 @@ from shapestream.model import (
     forward_step,
     sequence_loss,
     sequence_predictions,
+    stream_predictions,
 )
+from shapestream.attention import AssociativeMemory
 from shapestream.autograd import Tensor, no_grad
 from shapestream.optim import adam_update, AdamState, gradients_of, zero_gradients
 from shapestream.voxel import VoxelGrid
@@ -141,18 +143,30 @@ def test_forward_step_matches_unroll_softmax_kernel():
         np.testing.assert_allclose(pred.values, unrolled[i].data, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant,kernel,heads", [("mvp", "relu", 1), ("mvp", "softmax", 2),
-                                                  ("mvt", "softmax", 1), ("lstm", "relu", 1)])
-def test_streamed_blocks_of_frames_match_sequence_unroll(variant, kernel, heads):
+STREAM_CASES = {
+    "mvp-relu-1": dict(variant="mvp", kernel="relu"),
+    "mvp-softmax-2": dict(variant="mvp", kernel="softmax", attention_heads=2),
+    "mvt-softmax-1": dict(variant="mvt", kernel="softmax"),
+    "lstm-relu-1": dict(variant="lstm", kernel="relu"),
+    "mvp-relu-1-layers2": dict(variant="mvp", kernel="relu", performer_layers=2),
+    "mvt-softmax-2-layers2": dict(variant="mvt", kernel="softmax", attention_heads=2,
+                                  performer_layers=2),
+    "lstm-relu-1-layers2": dict(variant="lstm", kernel="relu", performer_layers=2),
+    "single_view": dict(variant="single_view"),
+}
+
+
+@pytest.mark.parametrize("case", list(STREAM_CASES))
+def test_streamed_blocks_of_frames_match_sequence_unroll(case):
     """Blocks of 2, 1 and 3 frames streamed through one state give the
     unrolled predictions."""
-    model = build_model(tiny_config(variant, kernel=kernel, attention_heads=heads))
+    model = build_model(tiny_config(**STREAM_CASES[case]))
     values, _ = random_frames(6, seed=33)
     unrolled = np.stack([p.data for p in sequence_predictions(model, values)])
     state = model.init_state()
     with no_grad():
         for a, b in ((0, 2), (2, 3), (3, 6)):
-            got = _forward(model, np.stack(values[a:b]), a, state).data
+            got = _forward(model, np.stack(values[a:b]), state).data
             np.testing.assert_allclose(got, unrolled[a:b], rtol=0, atol=1e-12)
 
 
@@ -165,6 +179,39 @@ def test_non_finite_key_weight_rejected_memories_unmodified():
         forward_step(model, state, frame)
     assert all(mem.count == 0 and not mem.M.any() and not mem.m_vec.any()
                for layer in state.layers for mem in layer)
+
+
+def _state_arrays(state) -> list:
+    """The frame index, then each slot's arrays (and each memory's count)."""
+    out = [state.frame_index]
+    for layer in state.layers:
+        for slot in layer:
+            out += ([slot.count, slot.M, slot.m_vec] if isinstance(slot, AssociativeMemory)
+                    else list(slot))
+    return out
+
+
+@pytest.mark.parametrize("variant,weight", [("mvp", "blk1.wq"), ("mvt", "blk1.wq"),
+                                            ("lstm", "blk1.mlp.w1")])
+def test_step_that_raises_leaves_state_unchanged(variant, weight):
+    """A NaN weight in the second block makes forward_step raise after both
+    blocks have read their slots. The caller's state still equals a fresh
+    one, and with the weight restored, streaming on from it equals a fresh
+    stream."""
+    model = build_model(tiny_config(variant, performer_layers=2,
+                                    attention_heads=1 if variant == "lstm" else 2))
+    frames = as_grids(random_frames(3, seed=35)[0])
+    state = model.init_state()
+    w = model.params[weight].data
+    kept, w[0, 0] = w[0, 0], np.nan
+    with pytest.raises(ValueError):
+        forward_step(model, state, frames[0])
+    w[0, 0] = kept
+    np.testing.assert_equal(_state_arrays(state), _state_arrays(model.init_state()))
+    want = [p.values for p in stream_predictions(model, frames)]
+    for frame, expected in zip(frames, want):
+        pred, state = forward_step(model, state, frame)
+        np.testing.assert_array_equal(pred.values, expected)
 
 
 def test_mvp_state_size_constant_mvt_state_grows():

@@ -76,7 +76,7 @@ def test_training_declining_loss_on_overfit_smoke(tmp_path):
 
 
 def test_train_views_limits_frames_consumed(tmp_path):
-    config = tiny_config(train_views=3)
+    config = tiny_config(train_views=3, max_views=3)
     frames, targets = random_frames(6, seed=5)
     data = [(as_grids(frames), as_grids(targets))]
     result = train(config, data, [], steps=2, checkpoint_path=tmp_path / "ck.mvpc")
