@@ -212,7 +212,13 @@ def cmd_eval(args, argv: list) -> int:
 
 
 def cmd_bench(args, argv: list) -> int:
-    lengths = tuple(int(x) for x in args.lengths.split(","))
+    try:
+        lengths = tuple(int(x) for x in args.lengths.split(","))
+    except ValueError:
+        lengths = (0,)  # not integers: rejected below
+    for flag in ("lengths", "dim", "heads", "trials"):
+        if min(lengths if flag == "lengths" else [getattr(args, flag)]) < 1:
+            raise UsageError(f"--{flag} takes integers >= 1, got {getattr(args, flag)}")
     results = bench_attention(lengths=lengths, d=args.dim, d_qk=args.dim,
                               heads=args.heads, trials=args.trials,
                               kernel=args.kernel or "relu", seed=args.seed)

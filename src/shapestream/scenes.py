@@ -367,7 +367,15 @@ class DatasetManifest:
                 raise DatasetError(f"manifest object {obj.object_id!r} needs a kind in "
                                    f"{OBJECT_KINDS}, an integer seed and a finite scale > 0, "
                                    f"got {obj.kind!r}, {obj.seed!r}, {obj.scale!r}")
+        if manifest.protocol not in PROTOCOLS:
+            raise DatasetError(f"manifest protocol {manifest.protocol!r} is not one of {PROTOCOLS}")
+        for kind, ids in (("object", [o.object_id for o in manifest.objects]),
+                          ("sequence", [s.seq_id for s in manifest.sequences])):
+            if any(type(i) is not str for i in ids) or len(set(ids)) < len(ids):
+                bad = next(i for n, i in enumerate(ids) if type(i) is not str or i in ids[:n])
+                raise DatasetError(f"manifest {kind} id {bad!r} is not a string or is repeated")
         known = manifest.objects_by_id()
+        needed = 2 if manifest.protocol in TWO_OBJECT_PROTOCOLS else 1
         for seq in manifest.sequences:
             if type(seq.seed) is not int:
                 raise DatasetError(f"manifest sequence {seq.seq_id!r} seed must be an "
@@ -378,6 +386,9 @@ class DatasetManifest:
             if type(seq.object_ids) is not list or any(type(o) is not str for o in seq.object_ids):
                 raise DatasetError(f"manifest sequence {seq.seq_id!r} object_ids must be a "
                                    f"list of strings, got {seq.object_ids!r}")
+            if len(seq.object_ids) != needed:
+                raise DatasetError(f"manifest sequence {seq.seq_id!r} names {len(seq.object_ids)} "
+                                   f"objects; {manifest.protocol} needs {needed}")
             unknown = [o for o in seq.object_ids if o not in known]
             if unknown:
                 raise DatasetError(f"manifest sequence {seq.seq_id!r} names unknown "

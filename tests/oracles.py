@@ -132,6 +132,17 @@ def fscore_naive(pred: np.ndarray, gt: np.ndarray, d: float) -> tuple:
     return p, r, f
 
 
+def min_dists(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> np.ndarray:
+    """Exact nearest-neighbor distance from each src point to dst, forming
+    every pair in blocks of ``chunk`` src rows."""
+    out = np.empty(len(src))
+    for start in range(0, len(src), chunk):
+        block = src[start : start + chunk]
+        d2 = ((block[:, None, :] - dst[None, :, :]) ** 2).sum(axis=2)
+        out[start : start + chunk] = np.sqrt(d2.min(axis=1))
+    return out
+
+
 def render_depth_view_naive(objects, pose, image_size, step):
     """The unculled raycaster: every alive ray is tested against every object
     at every march sample, then bisected to the surface."""

@@ -301,6 +301,15 @@ def test_malformed_vxg_in_dataset_exits_3(tmp_path, capsys, command, damage, mes
     assert not out.exists()
 
 
+def _repeat_first_object_id(manifest):
+    """Give the second object the first one's id, and its sequences too, so
+    every sequence still names an id the manifest has."""
+    first, second = (o["object_id"] for o in manifest["objects"][:2])
+    manifest["objects"][1]["object_id"] = first
+    for seq in manifest["sequences"]:
+        seq["object_ids"] = [first if o == second else o for o in seq["object_ids"]]
+
+
 MANIFEST_EDITS = {
     "views_zero": lambda m: m.update(views=0),
     "resolution_string": lambda m: m.update(resolution="8"),
@@ -326,6 +335,14 @@ MANIFEST_EDITS = {
     "object_scale_inf": lambda m: m["objects"][0].update(scale=float("inf")),
     "object_kind_unknown": lambda m: m["objects"][0].update(kind="torus"),
     "sequence_seed_null": lambda m: m["sequences"][0].update(seed=None),
+    "protocol_unknown": lambda m: m.update(protocol="spiral"),
+    "object_id_list": lambda m: m["objects"][0].update(object_id=["obj0000"]),
+    "object_id_repeated": _repeat_first_object_id,
+    "sequence_id_int": lambda m: m["sequences"][0].update(seq_id=7),
+    "sequence_id_repeated": lambda m: m["sequences"][1].update(seq_id=m["sequences"][0]["seq_id"]),
+    "object_ids_two_for_one_object_protocol": lambda m: m["sequences"][0].update(
+        object_ids=m["sequences"][0]["object_ids"] * 2),
+    "object_ids_one_for_two_object_protocol": lambda m: m.update(protocol="slide_behind"),
 }
 
 
@@ -344,7 +361,8 @@ def test_invalid_manifest_exits_3_before_out(tmp_path, capsys, command, edit):
     else:
         argv = ["eval", "--checkpoint", "oracle", "--data", data, "--out", str(out)]
     assert main(argv) == 3
-    assert "manifest" in capsys.readouterr().err
+    # the message names the manifest (tmp_path, which names this test, does not count)
+    assert "manifest" in capsys.readouterr().err.replace(str(tmp_path), "")
     assert not out.exists()
 
 
@@ -404,3 +422,15 @@ def test_bench_command_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mvp step" in out and "ratio" in out
     assert (tmp_path / "b" / "bench.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--lengths", "0,4"], ["--lengths", "x,4"], ["--trials", "0"],
+                                   ["--dim", "0"], ["--heads", "0"]],
+                         ids=["lengths_zero", "lengths_text", "trials_zero", "dim_zero",
+                              "heads_zero"])
+def test_bench_invalid_size_exits_2_naming_the_flag(tmp_path, capsys, flags):
+    code = main(["bench", "--lengths", "8", "--dim", "8", "--heads", "1", "--trials", "2",
+                 *flags, "--out", str(tmp_path / "b")])
+    assert code == 2
+    assert f"{flags[0]} takes integers >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()

@@ -1,11 +1,14 @@
 """Jaccard / F-score against brute-force oracles; split evaluation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fscore_naive, jaccard_naive
+from oracles import fscore_naive, jaccard_naive, min_dists
+from shapestream import metrics
 from shapestream.metrics import MetricReport, evaluate_split, fscore, jaccard, jaccard_values
 from shapestream.model import build_model
 from shapestream.voxel import PointCloud, VoxelGrid
@@ -138,6 +141,31 @@ def test_fscore_nondecreasing_in_threshold(seed, scale):
     b = PointCloud(rng.random((20, 3)) * scale)
     fs = [fscore(a, b, d)[2] for d in (0.05, 0.1, 0.2, 0.5, 1.0)]
     assert all(y >= x for x, y in zip(fs, fs[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 60), m=st.integers(1, 60),
+       layout=st.sampled_from(("uniform", "lattice", "duplicates")),
+       dist=st.sampled_from((1e-12, 1e-6, 0.01, 0.0173, 0.25, 1.0, 10.0)),
+       offset=st.sampled_from((0.0, 1e3, -1e3)), chunk=st.sampled_from((1, 7, 1 << 20)))
+def test_neighbour_test_matches_all_pairs_per_point(seed, n, m, layout, dist, offset, chunk):
+    # "lattice" puts coordinates on multiples of dist, so many pairs lie exactly
+    # dist apart (exactly so for the binary fractions 0.25 and 1.0); dist=10
+    # exceeds the clouds' extent, n or m = 1 gives one-point clouds, and the
+    # small chunks split the candidate pairs into many blocks
+    rng = RNG(seed)
+    if layout == "lattice":
+        a, b = rng.integers(0, 4, (n, 3)) * dist, rng.integers(0, 4, (m, 3)) * dist
+    else:
+        a, b = rng.random((n, 3)) * 0.3, rng.random((m, 3)) * 0.3
+    if layout == "duplicates":
+        a = a[rng.integers(0, n, n)]
+        b[: m // 2] = a[rng.integers(0, n, m // 2)]
+    a, b = a + offset, b + offset
+    with mock.patch.object(metrics, "_PAIR_CHUNK", chunk):
+        near_a, near_b = metrics._within(a, b, dist)
+    np.testing.assert_array_equal(near_a, min_dists(a, b) < dist)
+    np.testing.assert_array_equal(near_b, min_dists(b, a) < dist)
 
 
 # ---------------------------------------------------------------------------
