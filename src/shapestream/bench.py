@@ -24,41 +24,53 @@ from .attention import (
 from .autograd import Tensor, concat
 
 
+def _steps(L: int, fmap, d: int, d_qk: int, heads: int, kernel: str, seed: int) -> dict:
+    """The mvp and mvt step at history length L, on inputs drawn from seed."""
+    rng = np.random.default_rng(seed)
+    memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, d)),
+                                  m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
+                for _ in range(heads)]
+    k_hist = rng.standard_normal((heads, L - 1, d_qk))
+    v_hist = rng.standard_normal((heads, L - 1, d))
+    k = rng.standard_normal((heads, 1, d_qk))
+    v = rng.standard_normal((heads, 1, d))
+    q = rng.standard_normal((heads, 1, d_qk))
+
+    def memory_step():
+        for h, mem in enumerate(memories):
+            causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), fmap, mem)
+
+    def history_step():
+        for h in range(heads):
+            exact_causal_attention_t(Tensor(q[h]), concat([Tensor(k_hist[h]), Tensor(k[h])]),
+                                     concat([Tensor(v_hist[h]), Tensor(v[h])]), kernel)
+
+    return {"mvp": memory_step, "mvt": history_step}
+
+
 def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 256,
                     heads: int = 8, trials: int = 200, kernel: str = "relu",
                     seed: int = 0) -> dict:
-    """Median step seconds per history length for both block kinds."""
+    """Median step seconds per history length for both block kinds.
+
+    Trial t runs every (length, block) step twice and times the second run,
+    before trial t + 1 starts. So a slow phase of the host slows all lengths
+    alike, and each timed step finds its own inputs in cache, not those of
+    the length before it."""
     results = {"mvp": {}, "mvt": {}, "d": d, "d_qk": d_qk, "heads": heads,
                "trials": trials, "kernel": kernel}
     fmap = feature_map(kernel, d_qk=d_qk, m=d_qk, seed=seed)
-    for L in lengths:
-        rng = np.random.default_rng(seed)
-        memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, d)),
-                                      m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
-                    for _ in range(heads)]
-        k_hist = rng.standard_normal((heads, L - 1, d_qk))
-        v_hist = rng.standard_normal((heads, L - 1, d))
-        k = rng.standard_normal((heads, 1, d_qk))
-        v = rng.standard_normal((heads, 1, d))
-        q = rng.standard_normal((heads, 1, d_qk))
-
-        def memory_step():
-            for h, mem in enumerate(memories):
-                causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), fmap, mem)
-
-        def history_step():
-            for h in range(heads):
-                exact_causal_attention_t(Tensor(q[h]), concat([Tensor(k_hist[h]), Tensor(k[h])]),
-                                         concat([Tensor(v_hist[h]), Tensor(v[h])]), kernel)
-
-        for name, step in (("mvp", memory_step), ("mvt", history_step)):
+    steps = [(name, L, step) for L in lengths
+             for name, step in _steps(L, fmap, d, d_qk, heads, kernel, seed).items()]
+    samples = np.empty((len(steps), trials))
+    for t in range(trials):
+        for s, (_, _, step) in enumerate(steps):
             step()  # warm up caches and BLAS dispatch
-            samples = np.empty(trials)
-            for t in range(trials):
-                t0 = perf_counter()
-                step()
-                samples[t] = perf_counter() - t0
-            results[name][L] = float(np.median(samples))
+            t0 = perf_counter()
+            step()
+            samples[s, t] = perf_counter() - t0
+    for (name, L, _), row in zip(steps, samples):
+        results[name][L] = float(np.median(row))
     lo, hi = min(lengths), max(lengths)
     results["ratios"] = {name: results[name][hi] / results[name][lo]
                          for name in ("mvp", "mvt")}

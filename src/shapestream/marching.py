@@ -5,6 +5,11 @@ that solids touching the grid boundary still produce closed surfaces. Lattice
 sample points are voxel centers. Vertices are created once per crossed
 lattice edge (keyed by the edge's low corner and axis), which makes meshes of
 padded solid fields watertight by construction.
+
+Extraction is one array pass over all active cubes. It numbers vertices in
+order of first use and computes each with the same arithmetic in the same
+order as a cube-by-cube, edge-by-edge loop, so meshes match that loop byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,6 +22,14 @@ from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid
 
 _DEGENERATE_AREA = 1e-18  # m^2; only exact duplicates fall below this
+
+# TRI_TABLE padded to 16 edges per case, and each cube edge's lattice key:
+# the offset of its low corner and its axis
+_TRI_COUNT = np.array([len(tri_edges) for tri_edges in TRI_TABLE])
+_TRI_EDGES = np.array([tri_edges + [0] * (16 - len(tri_edges)) for tri_edges in TRI_TABLE])
+_EDGE_LOW = np.array([np.minimum(CORNER_OFFSETS[a], CORNER_OFFSETS[b]) for a, b in EDGE_CORNERS])
+_EDGE_AXIS = np.array([np.flatnonzero(np.subtract(CORNER_OFFSETS[a], CORNER_OFFSETS[b]))[0]
+                       for a, b in EDGE_CORNERS])
 
 
 @dataclass
@@ -69,43 +82,32 @@ def marching_cubes(grid: VoxelGrid) -> Mesh:
     # a cube is crossed by the surface unless all 8 corners agree
     active = np.argwhere((case != 0) & (case != 255))
 
-    vertices: list[np.ndarray] = []
-    vertex_ids: dict[tuple, int] = {}
-    triangles: list[tuple] = []
+    # every triangle edge of every active cube, cube by cube in table order
+    cases = case[tuple(active.T)]
+    edges = _TRI_EDGES[cases][np.arange(16) < _TRI_COUNT[cases, None]]
+    low = np.repeat(active, _TRI_COUNT[cases], axis=0) + _EDGE_LOW[edges]
+    axis = _EDGE_AXIS[edges]
+    key = ((low[:, 0] * (r + 2) + low[:, 1]) * (r + 2) + low[:, 2]) * 3 + axis
+    # one vertex per lattice edge, numbered in order of first use
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    vertex_id = np.empty_like(by_use)
+    vertex_id[by_use] = np.arange(len(by_use))
+    ids = vertex_id[inverse].reshape(-1, 3)
 
-    def edge_vertex(cx: int, cy: int, cz: int, edge: int) -> int:
-        a, b = EDGE_CORNERS[edge]
-        pa = (cx + CORNER_OFFSETS[a][0], cy + CORNER_OFFSETS[a][1], cz + CORNER_OFFSETS[a][2])
-        pb = (cx + CORNER_OFFSETS[b][0], cy + CORNER_OFFSETS[b][1], cz + CORNER_OFFSETS[b][2])
-        if pb < pa:  # canonical low-to-high orientation so neighbors agree
-            pa, pb = pb, pa
-        axis = next(i for i in range(3) if pa[i] != pb[i])
-        key = (pa, axis)
-        vid = vertex_ids.get(key)
-        if vid is not None:
-            return vid
-        va, vb = field[pa], field[pb]
-        t = (OCCUPANCY_THRESHOLD - va) / (vb - va)
-        pos = np.array([base[0, pa[0]], base[1, pa[1]], base[2, pa[2]]])
-        pos[axis] += t * grid.voxel_size
-        vid = len(vertices)
-        vertices.append(pos)
-        vertex_ids[key] = vid
-        return vid
+    first_use = first[by_use]
+    pa, axis = low[first_use], axis[first_use]
+    pb = pa + np.eye(3, dtype=np.int64)[axis]
+    va, vb = field[tuple(pa.T)], field[tuple(pb.T)]
+    t = (OCCUPANCY_THRESHOLD - va) / (vb - va)
+    vertices = np.stack([base[0, pa[:, 0]], base[1, pa[:, 1]], base[2, pa[:, 2]]], axis=1)
+    vertices[np.arange(len(vertices)), axis] += t * grid.voxel_size
 
-    for cx, cy, cz in active:
-        tri_edges = TRI_TABLE[case[cx, cy, cz]]
-        for s in range(0, len(tri_edges), 3):
-            i0 = edge_vertex(cx, cy, cz, tri_edges[s])
-            i1 = edge_vertex(cx, cy, cz, tri_edges[s + 1])
-            i2 = edge_vertex(cx, cy, cz, tri_edges[s + 2])
-            if i0 == i1 or i1 == i2 or i0 == i2:
-                continue
-            triangles.append((i0, i2, i1))
-
-    if not triangles:
+    i0, i1, i2 = ids.T
+    keep = (i0 != i1) & (i1 != i2) & (i0 != i2)
+    if not keep.any():
         return Mesh.empty()
-    mesh = Mesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    mesh = Mesh(vertices, np.stack([i0, i2, i1], axis=1)[keep])
     areas = mesh.triangle_areas()
     keep = areas > _DEGENERATE_AREA
     if not keep.all():

@@ -6,7 +6,9 @@ cubes, surface points are sampled area-uniformly from prediction and ground
 truth, and precision/recall count points within a threshold of the other
 cloud. The threshold is a fraction (default 1%) of the grid's world diagonal.
 The neighbour test is grid-binned: it scores only pairs of points in adjacent
-cells, and still matches a brute-force double loop bit for bit.
+cells, with the same arithmetic in the same order as a brute-force double
+loop, so it matches that loop bit for bit. The oracle (prediction = target)
+meshes and samples each frame once.
 """
 
 from __future__ import annotations
@@ -59,23 +61,30 @@ def _within(a: np.ndarray, b: np.ndarray, dist: float) -> tuple[np.ndarray, np.n
     ix, iy, iz = (np.floor((both - lo) / cell).astype(np.int64) + 1).T
     ny, nz = iy.max() + 2, iz.max() + 2
     keys = (ix * ny + iy) * nz + iz
-    order = np.argsort(keys[len(a):], kind="stable")
-    b_keys = keys[len(a):][order]
+    # both clouds in key order: each row of searchsorted queries ascends, and
+    # the pairs of one block read neighbouring points
+    a_keys, b_keys = keys[: len(a)], keys[len(a):]
+    a_order, b_order = np.argsort(a_keys, kind="stable"), np.argsort(b_keys, kind="stable")
+    b_keys = b_keys[b_order]
     # each of a point's 3 x 3 neighbouring z-columns is one run of sorted keys
-    columns = keys[: len(a), None] + (np.add.outer([-ny, 0, ny], [-1, 0, 1]) * nz).ravel()
+    columns = a_keys[a_order, None] + (np.add.outer([-ny, 0, ny], [-1, 0, 1]) * nz).ravel()
     start = np.searchsorted(b_keys, columns - 1).ravel()
     count = np.searchsorted(b_keys, columns + 1, "right").ravel() - start
     first = np.concatenate(([0], np.cumsum(count)))
-    hits = np.zeros(len(both), dtype=bool)
+    ax, ay, az = a[a_order].T.copy()
+    bx, by, bz = b[b_order].T.copy()
+    near_a, near_b = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
     e0 = 0
     while e0 < len(count):
         e1 = max(e0 + 1, np.searchsorted(first, first[e0] + _PAIR_CHUNK, "right") - 1)
         run = np.repeat(np.arange(e0, e1), count[e0:e1])
-        i, j = run // 9, order[start[run] + np.arange(len(run)) - first[run] + first[e0]]
-        close = np.sqrt(((a[i] - b[j]) ** 2).sum(axis=1)) < dist
-        hits[i[close]] = hits[len(a) + j[close]] = True
+        i, j = run // 9, start[run] + np.arange(len(run)) - first[run] + first[e0]
+        # the brute force's ((a[i] - b[j]) ** 2).sum(axis=1), term by term
+        dx, dy, dz = ax[i] - bx[j], ay[i] - by[j], az[i] - bz[j]
+        close = np.sqrt(dx * dx + dy * dy + dz * dz) < dist
+        near_a[a_order[i[close]]] = near_b[b_order[j[close]]] = True
         e0 = e1
-    return hits[: len(a)], hits[len(a):]
+    return near_a, near_b
 
 
 def fscore(pred: PointCloud, gt: PointCloud, dist: float) -> tuple[float, float, float]:
@@ -184,7 +193,9 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
             seed = sample_seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536
             pred_mesh = marching_cubes(pred)
             pred_cloud = _surface_cloud(pred_mesh, n_points, seed)
-            gt_cloud = _surface_cloud(marching_cubes(target), n_points, seed)
+            # the oracle's prediction is its target: same mesh, same seed, same cloud
+            gt_cloud = (pred_cloud if pred is target
+                        else _surface_cloud(marching_cubes(target), n_points, seed))
             if pred_cloud is None or gt_cloud is None:
                 row = FrameMetrics(seq_id, i, j, 0.0, 0.0, 0.0, flagged=True)
             else:

@@ -7,8 +7,10 @@ checks.
 
 import numpy as np
 
+from shapestream.marching import _DEGENERATE_AREA, Mesh
+from shapestream.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from shapestream.scenes import FOV_DEG, RAY_FAR, RAY_NEAR, REFINE_ITERS
-from shapestream.voxel import PointCloud
+from shapestream.voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid
 
 
 def conv3d_naive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -187,3 +189,72 @@ def render_depth_view_naive(objects, pose, image_size, step):
         lo = np.where(m, lo, mid)
     pts_world = pose.position + hi[:, None] * d
     return PointCloud(pose.world_to_camera(pts_world))
+
+
+def marching_cubes_naive(grid: VoxelGrid) -> Mesh:
+    """Extract the OCCUPANCY_THRESHOLD surface of a [0, 1] occupancy field,
+    one edge vertex per Python call, numbered in order of first use.
+
+    Standard 256-configuration tables with linear interpolation along lattice
+    edges. An all-zero or all-one grid yields an empty mesh.
+    """
+    r = grid.resolution
+    field = np.zeros((r + 2,) * 3)
+    field[1:-1, 1:-1, 1:-1] = grid.values
+    # lattice point (i,j,k) sits at the center of padded voxel (i,j,k)
+    base = grid.origin[:, None] + (np.arange(r + 2)[None, :] - 0.5) * grid.voxel_size
+
+    inside = field > OCCUPANCY_THRESHOLD
+    if not inside.any() or inside.all():
+        return Mesh.empty()
+
+    # per-cube case index from the 8 corner inside-bits
+    n = r + 1
+    case = np.zeros((n, n, n), dtype=np.int32)
+    for bit, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
+        case |= inside[ox : ox + n, oy : oy + n, oz : oz + n].astype(np.int32) << bit
+    # a cube is crossed by the surface unless all 8 corners agree
+    active = np.argwhere((case != 0) & (case != 255))
+
+    vertices: list[np.ndarray] = []
+    vertex_ids: dict[tuple, int] = {}
+    triangles: list[tuple] = []
+
+    def edge_vertex(cx: int, cy: int, cz: int, edge: int) -> int:
+        a, b = EDGE_CORNERS[edge]
+        pa = (cx + CORNER_OFFSETS[a][0], cy + CORNER_OFFSETS[a][1], cz + CORNER_OFFSETS[a][2])
+        pb = (cx + CORNER_OFFSETS[b][0], cy + CORNER_OFFSETS[b][1], cz + CORNER_OFFSETS[b][2])
+        if pb < pa:  # canonical low-to-high orientation so neighbors agree
+            pa, pb = pb, pa
+        axis = next(i for i in range(3) if pa[i] != pb[i])
+        key = (pa, axis)
+        vid = vertex_ids.get(key)
+        if vid is not None:
+            return vid
+        va, vb = field[pa], field[pb]
+        t = (OCCUPANCY_THRESHOLD - va) / (vb - va)
+        pos = np.array([base[0, pa[0]], base[1, pa[1]], base[2, pa[2]]])
+        pos[axis] += t * grid.voxel_size
+        vid = len(vertices)
+        vertices.append(pos)
+        vertex_ids[key] = vid
+        return vid
+
+    for cx, cy, cz in active:
+        tri_edges = TRI_TABLE[case[cx, cy, cz]]
+        for s in range(0, len(tri_edges), 3):
+            i0 = edge_vertex(cx, cy, cz, tri_edges[s])
+            i1 = edge_vertex(cx, cy, cz, tri_edges[s + 1])
+            i2 = edge_vertex(cx, cy, cz, tri_edges[s + 2])
+            if i0 == i1 or i1 == i2 or i0 == i2:
+                continue
+            triangles.append((i0, i2, i1))
+
+    if not triangles:
+        return Mesh.empty()
+    mesh = Mesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+    areas = mesh.triangle_areas()
+    keep = areas > _DEGENERATE_AREA
+    if not keep.all():
+        mesh = Mesh(mesh.vertices, mesh.triangles[keep])
+    return mesh

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import marching_cubes_naive
 from shapestream.marching import (
     Mesh,
     edge_incidence,
@@ -14,6 +17,7 @@ from shapestream.marching import (
     write_off,
 )
 from shapestream.mc_tables import TRI_TABLE
+from shapestream.scenes import gen_object, make_sequence
 from shapestream.voxel import VoxelGrid
 
 RNG = np.random.default_rng
@@ -113,6 +117,37 @@ def test_interpolation_puts_vertices_between_samples():
     center = np.array([1.5 * h, 1.5 * h, 1.5 * h])
     dists = np.linalg.norm(mesh.vertices - center, axis=1)
     assert np.all(dists <= h * np.sqrt(3) / 2 + 1e-12)
+
+
+def _assert_same_mesh(grid: VoxelGrid) -> None:
+    got, want = marching_cubes(grid), marching_cubes_naive(grid)
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.triangles.tobytes() == want.triangles.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), r=st.integers(1, 8),
+       field=st.sampled_from(("random", "binary", "exact_half")),
+       origin=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       voxel_size=st.floats(1e-4, 10.0))
+def test_marching_cubes_matches_edge_by_edge_loop(seed, r, field, origin, voxel_size):
+    # "exact_half" puts lattice values on the threshold itself, so vertices
+    # land on lattice points and zero-area triangles reach the area filter
+    rng = np.random.default_rng(seed)
+    if field == "random":
+        values = rng.random((r, r, r))
+    elif field == "binary":
+        values = (rng.random((r, r, r)) < rng.random()).astype(np.float64)
+    else:
+        values = rng.choice([0.0, 0.5, 1.0], (r, r, r))
+    _assert_same_mesh(VoxelGrid(values, origin, voxel_size))
+
+
+def test_marching_cubes_matches_edge_by_edge_loop_on_a_sequence():
+    objects = [gen_object("box", 3), gen_object("union", 4)]
+    seq = make_sequence("slide_behind", objects, 6, seed=5, resolution=16)
+    for grid in seq.frames + seq.targets:
+        _assert_same_mesh(grid)
 
 
 # ---------------------------------------------------------------------------

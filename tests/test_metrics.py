@@ -189,6 +189,35 @@ def test_oracle_evaluation_is_perfect():
     assert not any(r.flagged for r in report.rows)
 
 
+def _spy_on_surface_calls(monkeypatch) -> list:
+    spies = []
+    for name in ("marching_cubes", "sample_surface_points"):
+        spies.append(mock.Mock(wraps=getattr(metrics, name)))
+        monkeypatch.setattr(metrics, name, spies[-1])
+    return spies
+
+
+def test_oracle_meshes_and_samples_each_frame_once(monkeypatch):
+    target = VoxelGrid(_ball_grid(8, 0.06), (-0.15,) * 3, 0.3 / 8)
+    spies = _spy_on_surface_calls(monkeypatch)
+    evaluate_split(None, [("seq-0", [target] * 3, [target] * 3)], "camera_pan", "test",
+                   extent=0.30)
+    assert [spy.call_count for spy in spies] == [3, 3]
+
+
+def test_model_evaluation_meshes_and_samples_prediction_and_target(monkeypatch):
+    r = 8
+    frames, _ = random_frames(3, r=r, seed=7)
+    target = VoxelGrid(_ball_grid(r, 0.06), (-0.15,) * 3, 0.3 / r)
+    model = build_model(tiny_config("mvp", seed=3))
+    model.params["dec.out_bias"].data = np.array(50.0)  # every voxel occupied
+    spies = _spy_on_surface_calls(monkeypatch)
+    report = evaluate_split(model, [("seq-0", as_grids(frames, r=r), [target] * 3)],
+                            "camera_pan", "test", extent=0.30)
+    assert not any(row.flagged for row in report.rows)
+    assert [spy.call_count for spy in spies] == [6, 6]
+
+
 def test_all_zero_prediction_scores_zero_jaccard_and_flags():
     r = 8
     frames, _ = random_frames(2, r=r, seed=7, density=0.0)  # empty inputs
