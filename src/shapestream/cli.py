@@ -25,7 +25,7 @@ from .metrics import EXPORT_KINDS, evaluate_split
 from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, SPLITS, DatasetError, build_manifest, \
     read_manifest, read_sequence_grids, write_dataset
-from .train import TrainingDiverged, train
+from .train import TrainingDiverged, train, training_sequences
 from .voxel import VxgError
 
 EXIT_OK = 0
@@ -150,7 +150,8 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
 def cmd_train(args, argv: list) -> int:
     manifest = read_manifest(args.data)
     config, train_settings = _assemble_model_config(args, manifest)
-    train_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "train")]
+    train_data = training_sequences(
+        config, [(f, t) for _, f, t in _load_split(args.data, manifest, "train")])
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
         raise MismatchError(f"dataset {args.data} has no train split")

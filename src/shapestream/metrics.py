@@ -8,7 +8,8 @@ cloud. The threshold is a fraction (default 1%) of the grid's world diagonal.
 The neighbour test is grid-binned: it scores only pairs of points in adjacent
 cells, with the same arithmetic in the same order as a brute-force double
 loop, so it matches that loop bit for bit. The oracle (prediction = target)
-meshes and samples each frame once.
+meshes and samples each frame once; a model predicts each sequence with one
+gradient-free ``sequence_predictions``, the forward that training unrolls.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .marching import Mesh, marching_cubes, sample_surface_points, write_off
-from .model import MvpModel, stream_predictions
+from .autograd import no_grad
+from .model import MvpModel, sequence_predictions
 from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid, write_pgm_slice, write_vxg
 
 DEFAULT_SURFACE_SAMPLES = 2048
@@ -187,7 +189,10 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
     report = MetricReport(protocol=protocol, split=split, threshold=threshold)
     out = Path(export_dir) if export_dir is not None else None
     for seq_id, frames, targets in sequences:
-        preds = targets if model is None else stream_predictions(model, frames)
+        with no_grad():
+            preds = targets if model is None else [
+                VoxelGrid(p.data, f.origin, f.voxel_size)
+                for p, f in zip(sequence_predictions(model, frames), frames)]
         for i, (pred, target) in enumerate(zip(preds, targets)):
             j = jaccard(pred, target)
             seed = sample_seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536

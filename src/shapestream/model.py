@@ -24,19 +24,17 @@ their (L, latent_dim) tokens, each block's mixing sublayer reading its slot
 of the per-sequence state and replacing it with the slot advanced by the L
 rows: the associative memory for mvp (constant size), the stored key/value
 history for mvt (growing) and (h, c) for lstm. A training sequence is the
-recurrence unrolled from a fresh state (``sequence_predictions``, with
-gradients); ``forward_step`` advances a copy of the caller's state by one
+recurrence unrolled from a fresh state: ``sequence_predictions`` serves
+training (with gradients), validation and eval (under ``no_grad``), carrying
+one state through passes of ``max_views`` frames, so a sequence may be of
+any length. ``forward_step`` advances a copy of the caller's state by one
 frame, so a step that raises leaves the caller's state as it was.
-``stream_predictions`` runs ``forward_step`` over a whole sequence.
-Positional encodings are computed on demand, so a stream may run for any
-number of frames; ``max_views`` bounds only the length of one unrolled pass.
 """
 
 from __future__ import annotations
 
 import logging
 import numbers
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -79,7 +77,7 @@ class ModelConfig:
     attention_heads: int = 1
     conv_channels: tuple = (8, 16, 32)
     train_views: int = 12
-    max_views: int = 64              # longest sequence of one unrolled pass
+    max_views: int = 64              # frames per forward pass
     seed: int = 0
 
     def __post_init__(self):
@@ -422,21 +420,21 @@ def _frame_values(frame) -> np.ndarray:
 
 
 def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
-    """Gradient-tracked predictions for every frame of a sequence of at most
-    ``max_views`` frames."""
+    """Predictions for every frame of a sequence, from one fresh state carried
+    through passes of at most ``max_views`` frames; gradient-tracked within a
+    pass unless called under ``no_grad``."""
     cfg = model.config
     if not frames:
         raise ValueError("empty sequence")
-    if len(frames) > cfg.max_views:
-        raise ValueError(f"sequence length {len(frames)} exceeds max_views {cfg.max_views}")
     values = [_frame_values(f) for f in frames]
     for v in values:
         if v.shape != (cfg.resolution,) * 3:
             raise ValueError(
                 f"frame shape {v.shape} does not match model resolution {cfg.resolution}")
-    preds = _forward(model, np.stack(values), model.init_state())
-    r = cfg.resolution
-    return [preds.narrow(0, i, 1).reshape(r, r, r) for i in range(len(frames))]
+    state, r = model.init_state(), cfg.resolution
+    passes = [_forward(model, np.stack(values[s : s + cfg.max_views]), state)
+              for s in range(0, len(values), cfg.max_views)]
+    return [p.narrow(0, i, 1).reshape(r, r, r) for p in passes for i in range(p.shape[0])]
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
@@ -454,15 +452,6 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     with no_grad():
         pred = _forward(model, frame.values[None], state)
     return VoxelGrid(pred.data[0], frame.origin, frame.voxel_size), state
-
-
-def stream_predictions(model: MvpModel, frames: list) -> Iterator[VoxelGrid]:
-    """Yield the streamed prediction (a VoxelGrid) for each frame in turn,
-    starting from a fresh state."""
-    state = model.init_state()
-    for frame in frames:
-        pred, state = forward_step(model, state, frame)
-        yield pred
 
 
 def bce_from_predictions(preds: list[Tensor], targets: list) -> Tensor:

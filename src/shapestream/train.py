@@ -1,9 +1,10 @@
 """Adam training loop over view sequences with validation checkpointing.
 
 Training consumes the first ``train_views`` frames of each sequence (the
-3/6/12-view ablation knob); validation runs the streaming path over full
-sequences. The best-validation checkpoint is retained. Non-finite losses or
-gradients skip the step; ten consecutive failures abort the run.
+3/6/12-view ablation knob) in one forward pass; validation runs that forward
+without gradients over full sequences. The best-validation checkpoint is
+retained. Non-finite losses or gradients skip the step; ten consecutive
+failures abort the run.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import no_grad
 from .checkpoint import save_checkpoint
 from .metrics import jaccard_values
 from .model import (
@@ -26,7 +27,6 @@ from .model import (
     bce_from_predictions,
     build_model,
     sequence_predictions,
-    stream_predictions,
 )
 from .optim import AdamState, adam_update, gradients_of, zero_gradients
 
@@ -49,18 +49,27 @@ class TrainResult:
     model: MvpModel | None = None
 
 
-def evaluate_sequences(model: MvpModel, sequences: list, views: int | None = None
-                       ) -> tuple[float, float]:
+def evaluate_sequences(model: MvpModel, sequences: list) -> tuple[float, float]:
     """(mean BCE, mean Jaccard) over sequences of VoxelGrid frames and
-    targets via the streaming path."""
+    targets, each predicted by one gradient-free ``sequence_predictions``."""
     losses, jaccards = [], []
     for frames, targets in sequences:
-        if views is not None:
-            frames, targets = frames[:views], targets[:views]
-        for pred, target in zip(stream_predictions(model, frames), targets):
-            losses.append(bce_from_predictions([Tensor(pred.values)], [target]).item())
-            jaccards.append(jaccard_values(pred.values, target.values))
+        with no_grad():
+            preds = sequence_predictions(model, frames)
+        for pred, target in zip(preds, targets):
+            losses.append(bce_from_predictions([pred], [target]).item())
+            jaccards.append(jaccard_values(pred.data, target.values))
     return float(np.mean(losses)), float(np.mean(jaccards))
+
+
+def training_sequences(config: ModelConfig, data: list) -> list:
+    """Each sequence's first ``train_views`` frames, each within one forward
+    pass (no gradient flows from one pass to the next)."""
+    data = [(f[: config.train_views], t[: config.train_views]) for f, t in data]
+    views = max((len(f) for f, _ in data), default=0)
+    if views > config.max_views:
+        raise ValueError(f"training on {views} views exceeds max_views {config.max_views}")
+    return data
 
 
 def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
@@ -81,6 +90,7 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
             and math.isfinite(learning_rate) and learning_rate > 0):
         raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     model = build_model(config)
+    train_data = training_sequences(config, train_data)
     state = AdamState(learning_rate=learning_rate)
     rng = np.random.default_rng(config.seed)
     result = TrainResult(checkpoint_path=str(checkpoint_path), model=model)
@@ -106,8 +116,6 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
         if not order:
             order = list(rng.permutation(len(train_data)))
         frames, targets = train_data[order.pop()]
-        frames = frames[: config.train_views]
-        targets = targets[: config.train_views]
 
         preds = sequence_predictions(model, frames)
         target_values = [t.values for t in targets]
@@ -125,22 +133,19 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
         if not applied:
             consecutive_failures += 1
             if consecutive_failures >= MAX_CONSECUTIVE_FAILURES:
-                raise TrainingDiverged(
-                    f"{MAX_CONSECUTIVE_FAILURES} consecutive non-finite steps")
+                raise TrainingDiverged(f"{MAX_CONSECUTIVE_FAILURES} consecutive non-finite steps")
             continue
         consecutive_failures = 0
         result.steps_run = step
 
-        step_jacc = float(np.mean([
-            jaccard_values(pred.data, tv) for pred, tv in zip(preds, target_values)
-        ]))
+        step_jacc = float(np.mean([jaccard_values(pred.data, tv)
+                                   for pred, tv in zip(preds, target_values)]))
         result.rows.append((step, "train", loss, step_jacc))
 
         if step % val_every == 0 or step == steps:
             run_validation(step)
             if stop_at_train_jaccard is not None:
-                _, train_jacc = evaluate_sequences(model, train_data,
-                                                   views=config.train_views)
+                _, train_jacc = evaluate_sequences(model, train_data)
                 result.final_train_jaccard = train_jacc
                 if train_jacc >= stop_at_train_jaccard:
                     logger.info("step %d: train jaccard %.3f reached target %.3f",
@@ -152,8 +157,7 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
     if not val_data and steps > 0:
         save_checkpoint(checkpoint_path, config, model.params)
     if np.isnan(result.final_train_jaccard) and train_data:
-        _, result.final_train_jaccard = evaluate_sequences(
-            model, train_data, views=config.train_views)
+        _, result.final_train_jaccard = evaluate_sequences(model, train_data)
     if metrics_path is not None:
         write_metrics_csv(metrics_path, result.rows)
     return result

@@ -236,6 +236,27 @@ def test_train_float_config_value_exits_2(tmp_path, capsys):
     assert "latent_dim must be an integer" in capsys.readouterr().err
 
 
+def test_train_views_past_max_views_exits_2_before_out(tmp_path, capsys):
+    data = gen(tmp_path, views=8)
+    out = tmp_path / "run"
+    code = main(["train", "--data", data, "--out", str(out), "--steps", "1",
+                 "--train-views", "12", "--set", "max_views=6"])
+    assert code == 2
+    assert "max_views" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_views_past_max_views_on_short_sequences_trains_and_evals(tmp_path):
+    """12 train views over 3-view sequences fit max_views=3: training runs,
+    and eval loads its checkpoint."""
+    data = gen(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--out", str(run), "--steps", "1",
+                 "--train-views", "12", "--set", "max_views=3"]) == 0
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.mvpc"), "--data", data,
+                 "--out", str(tmp_path / "eval")]) == 0
+
+
 def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
     data = gen(tmp_path)
     cfg = tmp_path / "cfg.json"

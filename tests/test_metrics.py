@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import fscore_naive, jaccard_naive, min_dists
 from shapestream import metrics
+from shapestream import model as model_module
 from shapestream.metrics import MetricReport, evaluate_split, fscore, jaccard, jaccard_values
 from shapestream.model import build_model
 from shapestream.voxel import PointCloud, VoxelGrid
@@ -216,6 +217,17 @@ def test_model_evaluation_meshes_and_samples_prediction_and_target(monkeypatch):
                             "camera_pan", "test", extent=0.30)
     assert not any(row.flagged for row in report.rows)
     assert [spy.call_count for spy in spies] == [6, 6]
+
+
+def test_model_evaluation_predicts_a_sequence_in_one_forward(monkeypatch):
+    frames, targets = random_frames(3, seed=8)
+    spy = mock.Mock(wraps=model_module._forward)
+    monkeypatch.setattr(model_module, "_forward", spy)
+    report = evaluate_split(build_model(tiny_config()),
+                            [("seq-0", as_grids(frames), as_grids(targets))],
+                            "camera_pan", "test", extent=0.30)
+    assert spy.call_count == 1
+    assert len(report.rows) == 3
 
 
 def test_all_zero_prediction_scores_zero_jaccard_and_flags():

@@ -1,5 +1,7 @@
 """Model variants: construction, forward semantics, state, gradients."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,12 @@ from shapestream.model import (
     forward_step,
     sequence_loss,
     sequence_predictions,
-    stream_predictions,
 )
+from shapestream import model as model_module
 from shapestream.attention import AssociativeMemory
 from shapestream.autograd import Tensor, no_grad
 from shapestream.optim import adam_update, AdamState, gradients_of, zero_gradients
-from shapestream.voxel import VoxelGrid
+from shapestream.voxel import OCCUPANCY_THRESHOLD, VoxelGrid
 
 RNG = np.random.default_rng
 
@@ -157,17 +159,29 @@ STREAM_CASES = {
 
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
-def test_streamed_blocks_of_frames_match_sequence_unroll(case):
-    """Blocks of 2, 1 and 3 frames streamed through one state give the
-    unrolled predictions."""
+def test_streamed_blocks_of_frames_match_sequence_unroll(case, monkeypatch):
+    """10 frames at max_views=4 run as passes of 4, 4 and 2 frames through one
+    state and give both one unrolled pass's and the forward_step stream's
+    predictions; max_views leaves the weights unchanged."""
+    values, _ = random_frames(10, seed=33)
     model = build_model(tiny_config(**STREAM_CASES[case]))
-    values, _ = random_frames(6, seed=33)
-    unrolled = np.stack([p.data for p in sequence_predictions(model, values)])
-    state = model.init_state()
     with no_grad():
-        for a, b in ((0, 2), (2, 3), (3, 6)):
-            got = _forward(model, np.stack(values[a:b]), state).data
-            np.testing.assert_allclose(got, unrolled[a:b], rtol=0, atol=1e-12)
+        unrolled = np.stack([p.data for p in sequence_predictions(model, values)])
+    state, streamed = model.init_state(), []
+    for frame in as_grids(values):
+        pred, state = forward_step(model, state, frame)
+        streamed.append(pred.values)
+    streamed = np.stack(streamed)
+    spy = mock.Mock(wraps=_forward)
+    monkeypatch.setattr(model_module, "_forward", spy)
+    with no_grad():
+        chunked = np.stack([p.data for p in sequence_predictions(
+            build_model(tiny_config(**STREAM_CASES[case], max_views=4)), values)])
+    assert [len(call.args[1]) for call in spy.call_args_list] == [4, 4, 2]
+    np.testing.assert_allclose(chunked, unrolled, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(chunked, streamed, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(chunked > OCCUPANCY_THRESHOLD,
+                                  streamed > OCCUPANCY_THRESHOLD)
 
 
 def test_non_finite_key_weight_rejected_memories_unmodified():
@@ -208,7 +222,10 @@ def test_step_that_raises_leaves_state_unchanged(variant, weight):
         forward_step(model, state, frames[0])
     w[0, 0] = kept
     np.testing.assert_equal(_state_arrays(state), _state_arrays(model.init_state()))
-    want = [p.values for p in stream_predictions(model, frames)]
+    fresh, want = model.init_state(), []
+    for frame in frames:
+        pred, fresh = forward_step(model, fresh, frame)
+        want.append(pred.values)
     for frame, expected in zip(frames, want):
         pred, state = forward_step(model, state, frame)
         np.testing.assert_array_equal(pred.values, expected)
@@ -238,7 +255,7 @@ def test_mvp_state_size_constant_mvt_state_grows():
 def test_mvp_streams_past_max_views_with_constant_state():
     """1000 streamed frames: no position limit, constant memory, outputs in
     (0, 1) and equal to one unrolled pass over the same frames. max_views
-    bounds only the unrolled pass and leaves the weights unchanged."""
+    sets only the frames per pass and leaves the weights unchanged."""
     model = build_model(tiny_config("mvp", kernel="relu"))
     assert model.config.max_views < 1000
     values, _ = random_frames(1000, seed=6)

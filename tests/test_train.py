@@ -1,9 +1,13 @@
 """Training loop: determinism, checkpoint retention, metrics log."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import shapestream.model as model_module
 import shapestream.train as train_module
+from shapestream import autograd
 from shapestream.checkpoint import load_checkpoint, load_model
 from shapestream.model import bce_from_predictions, build_model
 from shapestream.optim import adam_update
@@ -75,12 +79,51 @@ def test_training_declining_loss_on_overfit_smoke(tmp_path):
     assert losses[-1] < losses[0]
 
 
-def test_train_views_limits_frames_consumed(tmp_path):
-    config = tiny_config(train_views=3, max_views=3)
+def test_train_views_limits_frames_consumed(tmp_path, monkeypatch):
+    """Each gradient pass of train() sees the first train_views frames only."""
     frames, targets = random_frames(6, seed=5)
     data = [(as_grids(frames), as_grids(targets))]
-    result = train(config, data, [], steps=2, checkpoint_path=tmp_path / "ck.mvpc")
-    assert result.steps_run == 2  # would raise on max_views if all 6 were used
+    real, passes = model_module._forward, []
+
+    def spy(model, values, state):
+        if autograd._grad_enabled:
+            passes.append(values.copy())
+        return real(model, values, state)
+
+    monkeypatch.setattr(model_module, "_forward", spy)
+    result = train(tiny_config(train_views=3), data, [], steps=2,
+                   checkpoint_path=tmp_path / "ck.mvpc")
+    assert result.steps_run == 2
+    assert len(passes) == 2
+    for values in passes:
+        np.testing.assert_array_equal(values, np.stack(frames[:3]))
+
+
+def test_training_sequence_longer_than_max_views_rejected(tmp_path):
+    """A sequence of more than max_views training frames would be cut into
+    passes with no gradient between them; train() refuses it up front."""
+    path = tmp_path / "ck.mvpc"
+    with pytest.raises(ValueError, match="max_views"):
+        train(tiny_config(train_views=6, max_views=4), toy_dataset(frames_per=6), [],
+              steps=1, checkpoint_path=path)
+    assert not path.exists()
+
+
+def test_train_views_past_max_views_on_short_sequences_trains_and_loads(tmp_path):
+    """train_views only caps the frames used: 12 over 4-frame sequences is one
+    pass at max_views=4, and the checkpoint it saves loads."""
+    config = tiny_config(train_views=12, max_views=4)
+    path = tmp_path / "ck.mvpc"
+    result = train(config, toy_dataset(frames_per=4), [], steps=1, checkpoint_path=path)
+    assert result.steps_run == 1
+    assert load_model(path).config == config
+
+
+def test_validation_predicts_a_sequence_in_one_forward(monkeypatch):
+    spy = mock.Mock(wraps=model_module._forward)
+    monkeypatch.setattr(model_module, "_forward", spy)
+    evaluate_sequences(build_model(tiny_config()), toy_dataset(n_seqs=1, frames_per=3))
+    assert spy.call_count == 1
 
 
 def _fail_on_calls(monkeypatch, name: str, failing: set):
