@@ -71,11 +71,42 @@ class SolidObject:
             mask |= part.contains(local)
         return mask
 
+    def ray_span(self, origin: np.ndarray, dirs: np.ndarray, near: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Entry and exit ``t`` of each ray's first chord through the object.
+
+        The rays are ``origin + t * dirs`` for ``t >= near``, with one world
+        point ``origin`` (3,) and dirs (n, 3); the chord is where ``contains``
+        holds, its entry clamped to ``near``. A ray that misses gets
+        ``(inf, -inf)``. Returns two (n,) arrays."""
+        local_o = (np.asarray(origin, dtype=np.float64) - self.translation) @ self.rotation
+        local_d = np.atleast_2d(np.asarray(dirs, dtype=np.float64)) @ self.rotation
+        if self.kind in ("lshape", "union"):
+            # every part is convex, so the first chord is the first part's
+            spans = np.array([p.ray_span(local_o, local_d, near) for p in self.parts])
+            first = np.argmin(spans[:, 0], axis=0)
+            return tuple(spans[first, :, np.arange(len(local_d))].T)
+        if self.kind == "box":  # slab method: each axis's slab is a 1-D ball
+            t_in, t_out = _ball_span(local_o[:, None], local_d[:, :, None],
+                                     self.dimensions["half_extents"])
+            t_in, t_out = t_in.max(axis=1), t_out.min(axis=1)
+        elif self.kind == "sphere":
+            t_in, t_out = _ball_span(local_o, local_d, self.dimensions["radius"])
+        else:  # a disc in local x, y and a slab in z
+            t_in, t_out = _ball_span(local_o[:2], local_d[:, :2], self.dimensions["radius"])
+            cap_in, cap_out = _ball_span(local_o[2:], local_d[:, 2:],
+                                         self.dimensions["half_height"])
+            t_in, t_out = np.maximum(t_in, cap_in), np.minimum(t_out, cap_out)
+        t_in = np.maximum(t_in, near)
+        miss = t_in > t_out
+        return np.where(miss, np.inf, t_in), np.where(miss, -np.inf, t_out)
+
     def bounding_radius(self) -> float:
         """Radius of a world-frame ball around the translation covering the object.
 
-        ``scenes.render_depth_view`` tests a ray only inside these balls, so
-        every point ``contains`` accepts must lie within this radius."""
+        ``scenes.render_depth_view`` intersects a ray with the object only if
+        its line meets this ball, so every point ``contains`` accepts must lie
+        within this radius."""
         if self.kind == "box":
             return float(np.linalg.norm(self.dimensions["half_extents"]))
         if self.kind == "sphere":
@@ -84,6 +115,22 @@ class SolidObject:
             return float(np.hypot(self.dimensions["radius"], self.dimensions["half_height"]))
         return max(float(np.linalg.norm(p.translation)) + p.bounding_radius()
                    for p in self.parts)
+
+
+def _ball_span(o: np.ndarray, d: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:
+    """The ``t`` interval where ``|o + t d| <= radius``, norms over the last axis;
+    empty (``t_in > t_out``) where the line misses. A zero ``d`` gets every
+    ``t`` or none, with no division by zero."""
+    a = (d * d).sum(axis=-1)
+    b = (d * o).sum(axis=-1)
+    c = (o * o).sum(axis=-1) - radius ** 2
+    disc = b * b - a * c
+    root = np.where(disc >= 0, np.sqrt(np.maximum(disc, 0.0)), -np.inf)
+    along = a > 0
+    safe = np.where(along, a, 1.0)
+    all_or_none = np.where(c <= 0, np.inf, -np.inf)
+    return (np.where(along, (-b - root) / safe, -all_or_none),
+            np.where(along, (-b + root) / safe, all_or_none))
 
 
 def _box(half_extents, translation=(0.0, 0.0, 0.0)) -> SolidObject:

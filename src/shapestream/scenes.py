@@ -41,8 +41,7 @@ DEFAULT_EXTENT = 0.30       # world edge of the voxel grid cube, meters
 DEFAULT_VIEWS = 12
 DEFAULT_IMAGE_SIZE = 64     # depth image is image_size x image_size rays
 FOV_DEG = 50.0              # full field of view of the square depth image
-RAY_NEAR, RAY_FAR = 0.05, 1.5  # ray-march range from the camera, meters
-REFINE_ITERS = 30           # bisection steps per hit after the march
+RAY_NEAR, RAY_FAR = 0.05, 1.5  # range of depths a ray can hit, meters
 PAN_RADIUS = 0.5            # horizontal pan circle radius, meters
 PAN_HEIGHT = 0.25           # circle height above the centroid plane
 FIXED_CAM_DISTANCE = 0.55   # fixed-camera protocols: standoff from centroid
@@ -94,16 +93,15 @@ def _inside(objects: list[SolidObject], points: np.ndarray) -> np.ndarray:
 
 
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
-                      image_size: int = DEFAULT_IMAGE_SIZE, step: float = 0.004
-                      ) -> PointCloud:
+                      image_size: int = DEFAULT_IMAGE_SIZE) -> PointCloud:
     """First-hit surface points of a pinhole raycast, in the camera frame.
 
-    One ray per pixel; ray marching at ``step`` followed by bisection, so hit
-    points sit on the surface (approached from inside) to ~1e-9 m. Back faces
-    and self-occluded regions never appear. No intersection -> empty cloud.
-    A ray is tested only between its first entry into and last exit from the
-    objects' bounding spheres, where a hit can occur; the samples stay those
-    of the unculled march, so the hits are the same.
+    One ray per pixel, intersected in closed form with each object
+    (``SolidObject.ray_span``): a ray hits at the smallest entry over the
+    objects whose chord reaches ``RAY_NEAR`` (clamped to ``RAY_NEAR``) if that
+    entry is below ``RAY_FAR``. Back faces and self-occluded regions never
+    appear. No intersection -> empty cloud. An object is intersected only
+    with the rays whose line meets its bounding sphere.
     """
     if _inside(objects, pose.position[None, :])[0]:
         raise ValueError("camera position lies inside an object")
@@ -115,39 +113,19 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs_world = dirs @ pose.rotation.T
 
-    # ray/sphere spans (unit directions); the 1e-6 relative pad on each radius
-    # absorbs rounding, so no sample inside an object falls outside the hull
-    centers = np.array([o.translation for o in objects]).reshape(-1, 3) - pose.position
-    radii = np.array([o.bounding_radius() for o in objects]) * (1.0 + 1e-6)
-    closest = dirs_world @ centers.T  # (rays, objects) t of nearest approach
-    disc = closest ** 2 - (np.einsum("ij,ij->i", centers, centers) - radii ** 2)
-    half = np.sqrt(np.maximum(disc, 0.0))
-    t_first = np.where(disc >= 0, closest - half, np.inf).min(axis=1, initial=np.inf)
-    t_last = np.where(disc >= 0, closest + half, -np.inf).max(axis=1, initial=-np.inf)
-
-    hit_t = np.full(len(dirs_world), -1.0)
-    alive = np.ones(len(dirs_world), dtype=bool)
-    for t in np.arange(RAY_NEAR, RAY_FAR, step):
-        alive &= t_last >= t
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive & (t_first <= t))
-        if len(idx):
-            idx = idx[_inside(objects, pose.position + t * dirs_world[idx])]
-            hit_t[idx] = t
-            alive[idx] = False
-    hit = hit_t > 0
+    hit_t = np.full(len(dirs_world), np.inf)
+    for obj in objects:
+        # the 1e-6 pad absorbs rounding: no ray that meets the object is culled
+        center = obj.translation - pose.position
+        radius = obj.bounding_radius() * (1.0 + 1e-6)
+        closest = dirs_world @ center
+        idx = np.flatnonzero(closest ** 2 >= center @ center - radius ** 2)
+        t_in, _ = obj.ray_span(pose.position, dirs_world[idx], RAY_NEAR)
+        hit_t[idx] = np.minimum(hit_t[idx], t_in)
+    hit = hit_t < RAY_FAR
     if not hit.any():
         return PointCloud.empty()
-    lo = hit_t[hit] - step
-    hi = hit_t[hit].copy()
-    d = dirs_world[hit]
-    for _ in range(REFINE_ITERS):
-        mid = 0.5 * (lo + hi)
-        m = _inside(objects, pose.position + mid[:, None] * d)
-        hi = np.where(m, mid, hi)
-        lo = np.where(m, lo, mid)
-    pts_world = pose.position + hi[:, None] * d
+    pts_world = pose.position + hit_t[hit, None] * dirs_world[hit]
     return PointCloud(pose.world_to_camera(pts_world))
 
 
@@ -228,7 +206,6 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
         raise ValueError(f"{protocol} needs 2 objects, got {len(objects)}")
     rng = np.random.default_rng(seed)
     centroid = np.zeros(3)
-    step = extent / resolution / 2.0  # ray-march step: half a voxel
     fixed = look_at(centroid + np.array([FIXED_CAM_DISTANCE, 0.0, FIXED_CAM_HEIGHT]), centroid)
 
     if protocol == "two_object_pan":
@@ -263,7 +240,7 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
     for scene, pose, curtain in schedule:
         if scene is not shot_scene or pose is not shot_pose:
             target = _target_grid(scene, pose, centroid, resolution, extent)
-            cloud = render_depth_view(scene, pose, image_size, step=step)
+            cloud = render_depth_view(scene, pose, image_size)
             shot_scene, shot_pose = scene, pose
         visible = PointCloud(cloud.points[cloud.points[:, 0] > curtain])
         frames.append(_input_grid(visible, target))

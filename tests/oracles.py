@@ -9,7 +9,7 @@ import numpy as np
 
 from shapestream.marching import _DEGENERATE_AREA, Mesh
 from shapestream.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
-from shapestream.scenes import FOV_DEG, RAY_FAR, RAY_NEAR, REFINE_ITERS
+from shapestream.scenes import FOV_DEG, RAY_FAR, RAY_NEAR
 from shapestream.voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid
 
 
@@ -145,9 +145,39 @@ def min_dists(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> np.ndarray:
     return out
 
 
+REFINE_ITERS = 30  # bisection steps per hit after the march
+
+
+def camera_rays(pose, image_size):
+    """World-frame unit direction of each pixel's ray, row by row."""
+    w = image_size
+    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
+    px = (np.arange(w) + 0.5 - w / 2.0) / focal
+    u, v = np.meshgrid(px, px, indexing="xy")
+    dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs @ pose.rotation.T
+
+
+def ray_depths(cloud, image_size):
+    """Each pixel's hit distance from a camera-frame cloud of first hits, at
+    most one per pixel; inf where the pixel's ray hit nothing."""
+    w = image_size
+    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
+    p = cloud.points
+    col, row = np.rint(p[:, :2] / p[:, 2:] * focal + w / 2.0 - 0.5).astype(int).T
+    depth = np.full(w * w, np.inf)
+    depth[row * w + col] = np.linalg.norm(p, axis=1)
+    assert np.isfinite(depth).sum() == len(p), "two hits in one pixel"
+    return depth
+
+
 def render_depth_view_naive(objects, pose, image_size, step):
-    """The unculled raycaster: every alive ray is tested against every object
-    at every march sample, then bisected to the surface."""
+    """The unculled ray march: every alive ray is tested against every object
+    at every sample ``RAY_NEAR + k * step`` below ``RAY_FAR``, then bisected to
+    the surface, so each hit lies within ``step / 2**REFINE_ITERS`` of it (on
+    the inside). A chord shorter than ``step`` can fall between two samples and
+    be missed."""
     def _inside(objects, points):
         mask = np.zeros(len(points), dtype=bool)
         for obj in objects:
@@ -156,13 +186,7 @@ def render_depth_view_naive(objects, pose, image_size, step):
 
     if _inside(objects, pose.position[None, :])[0]:
         raise ValueError("camera position lies inside an object")
-    w = image_size
-    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
-    px = (np.arange(w) + 0.5 - w / 2.0) / focal
-    u, v = np.meshgrid(px, px, indexing="xy")
-    dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs_world = dirs @ pose.rotation.T
+    dirs_world = camera_rays(pose, image_size)
 
     n_rays = len(dirs_world)
     hit_t = np.full(n_rays, -1.0)

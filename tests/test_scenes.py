@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import render_depth_view_naive
+from oracles import camera_rays, ray_depths, render_depth_view_naive
 from shapestream.objects import OBJECT_KINDS, SolidObject, gen_object, random_rotation
 from shapestream.scenes import (
     DEFAULT_EXTENT,
@@ -57,8 +57,8 @@ def test_all_kinds_fit_inside_scene_extent():
        scale=st.sampled_from([1.0, 0.6]),
        offset=st.tuples(*[st.floats(-0.2, 0.2)] * 3))
 def test_contained_points_lie_within_bounding_radius(kind, seed, scale, offset):
-    # the raycaster skips samples outside the bounding spheres, which is
-    # exact only while no contained point lies beyond bounding_radius()
+    # the raycaster skips rays whose line misses an object's bounding sphere,
+    # which is exact only while no contained point lies beyond bounding_radius()
     obj = gen_object(kind, seed, scale).with_pose(translation=np.array(offset))
     reach = obj.bounding_radius()
     pts = obj.translation + RNG(seed).uniform(-1.5 * reach, 1.5 * reach, size=(4000, 3))
@@ -128,7 +128,7 @@ def test_look_at_points_camera_z_at_target():
 def test_sphere_render_returns_front_hemisphere_only():
     sphere = SolidObject("sphere", {"radius": 0.06})
     pose = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-    cloud = render_depth_view([sphere], pose, image_size=48, step=0.005)
+    cloud = render_depth_view([sphere], pose, image_size=48)
     assert len(cloud) > 0
     center_cam = pose.world_to_camera(np.zeros(3))[0]
     # every hit is nearer than the sphere center along the view axis
@@ -141,7 +141,7 @@ def test_sphere_render_returns_front_hemisphere_only():
 def test_box_face_on_hits_lie_on_one_plane():
     box = SolidObject("box", {"half_extents": np.array([0.04, 0.05, 0.05])})
     pose = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-    cloud = render_depth_view([box], pose, image_size=48, step=0.004)
+    cloud = render_depth_view([box], pose, image_size=48)
     assert len(cloud) > 0
     depth = cloud.points[:, 2]
     residual = np.abs(depth - depth.mean()).max()
@@ -153,7 +153,7 @@ def test_fully_hidden_rear_object_contributes_no_points():
     rear = SolidObject("sphere", {"radius": 0.02},
                        translation=np.array([-0.08, 0.0, 0.0]))
     pose = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
-    cloud = render_depth_view([front, rear], pose, image_size=48, step=0.004)
+    cloud = render_depth_view([front, rear], pose, image_size=48)
     pts_world = pose.camera_to_world(cloud.points)
     assert len(cloud) > 0
     # every surface point belongs to the front box (tiny tolerance inflation)
@@ -167,7 +167,7 @@ def test_raycast_sphere_points_per_voxel_diagnostic():
 
     sphere = SolidObject("sphere", {"radius": 0.06})
     pose = look_at((0.5, 0.0, 0.25), (0.0, 0.0, 0.0))
-    cloud = render_depth_view([sphere], pose, image_size=64, step=0.005)
+    cloud = render_depth_view([sphere], pose, image_size=64)
     cloud_cam = cloud  # already in the camera frame
     grid, _ = voxelize(cloud_cam, 16, pose.world_to_camera(np.zeros(3))[0] - 0.15,
                        0.30 / 16)
@@ -207,23 +207,111 @@ def _reference_scene(name):
     if name == "grazed_by_edge_rays":
         edge = SolidObject("sphere", {"radius": 0.03}, translation=np.array([0.0, 0.25, 0.0]))
         return [edge], look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
+    if name == "behind_the_camera":  # a chord at negative t must not hit
+        rear = SolidObject("sphere", {"radius": 0.1}, translation=np.array([0.8, 0.0, 0.0]))
+        return [SolidObject("sphere", {"radius": 0.05}), rear], look_at((0.5, 0.0, 0.0),
+                                                                        (0.0, 0.0, 0.0))
     assert name == "misses_everything"
     return [SolidObject("sphere", {"radius": 0.03}, translation=np.array([0.0, 0.0, 2.0]))], front
 
 
+MARCH_STEP = 0.004
+
+
+def _assert_agrees_with_march(objects, pose, image_size):
+    """Compare the closed-form caster ray by ray with the march oracle; return
+    the closed form's cloud and the rays where the two hit at different depths.
+
+    Each closed-form hit lies on the surface. Where the march hits, the closed
+    form hits too, at the same depth within 1e-8 m or nearer; nearer, or
+    alone, only on a chord shorter than the march step, which can fall
+    between two samples."""
+    cloud = render_depth_view(objects, pose, image_size=image_size)
+    closed = ray_depths(cloud, image_size)
+    march = ray_depths(render_depth_view_naive(objects, pose, image_size, MARCH_STEP),
+                       image_size)
+    assert np.all(np.isfinite(closed) | np.isinf(march))
+    hit = np.isfinite(closed)
+    d = camera_rays(pose, image_size)[hit]
+    p = pose.position + closed[hit, None] * d
+    spans = np.array([o.ray_span(pose.position, d, RAY_NEAR) for o in objects])
+    first = np.argmin(spans[:, 0], axis=0)
+    t_in, t_out = spans[first, :, np.arange(len(d))].T
+    np.testing.assert_allclose(t_in, closed[hit], rtol=0, atol=1e-12)
+    chord = t_out - t_in
+
+    def inside(points):
+        return np.any([o.contains(points) for o in objects], axis=0)
+
+    solid = chord > 2e-9  # the 1e-9 probes below stay within the chord
+    assert inside(p + 1e-9 * d)[solid].all()
+    assert not inside(p - 1e-9 * d)[solid].any()
+    differ = np.abs(closed[hit] - march[hit]) > 1e-8
+    assert np.all(closed[hit][differ] < march[hit][differ])
+    assert np.all(chord[differ] < MARCH_STEP)
+    return cloud, np.flatnonzero(hit)[differ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(objects=st.lists(st.tuples(st.sampled_from(OBJECT_KINDS), st.integers(0, 2 ** 31 - 1),
+                                  st.floats(0.4, 1.0), st.tuples(*[st.floats(-0.06, 0.06)] * 3)),
+                        min_size=1, max_size=2),
+       distance=st.floats(0.45, 0.65), azimuth=st.floats(0.0, 2 * np.pi),
+       elevation=st.floats(-1.2, 1.2), image_size=st.integers(1, 24))
+def test_closed_form_raycast_agrees_with_march(objects, distance, azimuth, elevation,
+                                               image_size):
+    scene = [gen_object(kind, seed, scale).with_pose(translation=np.array(offset))
+             for kind, seed, scale, offset in objects]
+    eye = distance * np.array([np.cos(azimuth) * np.cos(elevation),
+                               np.sin(azimuth) * np.cos(elevation), np.sin(elevation)])
+    _assert_agrees_with_march(scene, look_at(eye, (0.0, 0.0, 0.0)), image_size)
+
+
 @pytest.mark.parametrize("name", [*OBJECT_KINDS, "overlapping_spheres", "span_before_near",
-                                  "grazed_by_edge_rays", "misses_everything"])
+                                  "grazed_by_edge_rays", "misses_everything",
+                                  "behind_the_camera"])
 def test_culled_raycast_equals_unculled_reference(name):
+    # fixed examples of the property above
     objects, pose = _reference_scene(name)
-    got = render_depth_view(objects, pose, image_size=24, step=0.005)
-    want = render_depth_view_naive(objects, pose, image_size=24, step=0.005)
-    assert np.array_equal(got.points, want.points)
+    got, _ = _assert_agrees_with_march(objects, pose, 24)
     if name == "grazed_by_edge_rays":
         assert 0 < len(got) <= 4
     elif name == "misses_everything":
         assert len(got) == 0
     else:
         assert len(got) > 0
+
+
+def test_chord_through_ray_near_hits_at_ray_near():
+    # 2 cm from the face, every ray is inside the box at RAY_NEAR
+    box = SolidObject("box", {"half_extents": np.full(3, 0.04)})
+    cloud = render_depth_view([box], look_at((0.06, 0.0, 0.0), (0.0, 0.0, 0.0)), image_size=8)
+    assert len(cloud) == 64
+    np.testing.assert_allclose(np.linalg.norm(cloud.points, axis=1), RAY_NEAR, rtol=0, atol=1e-15)
+
+
+def _axis_aligned_scene(name):
+    side = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
+    box = SolidObject("box", {"half_extents": np.array([0.04, 0.05, 0.03])})
+    cylinder = SolidObject("cylinder", {"radius": 0.04, "half_height": 0.05})
+    if name == "box_face_on":
+        return [box], side
+    if name == "cylinder_side_on":  # the optical axis meets the curved side
+        return [cylinder], side
+    assert name == "cylinder_end_on"  # the optical axis is the cylinder's axis
+    return [cylinder], look_at((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), up=(0.0, 1.0, 0.0))
+
+
+@pytest.mark.parametrize("image_size", [1, 9, 23])
+@pytest.mark.parametrize("name", ["box_face_on", "cylinder_side_on", "cylinder_end_on"])
+def test_rays_parallel_to_an_axis_hit_like_the_march(name, image_size):
+    objects, pose = _axis_aligned_scene(name)
+    center = image_size ** 2 // 2  # the ray on the optical axis
+    assert np.array_equal(camera_rays(pose, image_size)[center] != 0, pose.rotation[:, 2] != 0)
+    with np.errstate(all="raise"):
+        cloud, differ = _assert_agrees_with_march(objects, pose, image_size)
+    assert np.isfinite(ray_depths(cloud, image_size)[center])
+    assert len(differ) == 0
 
 
 # ---------------------------------------------------------------------------
