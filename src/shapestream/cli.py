@@ -10,7 +10,6 @@ failure (aborted training).
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -240,9 +239,7 @@ def cmd_bench(args, argv: list) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Built once per process, so no default may come from the environment."""
     parser = argparse.ArgumentParser(
         prog="shapestream",
         description="streaming multi-view shape completion at toy voxel scale")
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--objects", type=int, default=10)
     gen.add_argument("--res", type=int, default=16)
     gen.add_argument("--views", type=int, default=DEFAULT_VIEWS)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--seed", type=int, default=_default_seed())
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(func=cmd_gen_data)
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--points", type=int, default=2048)
     ev.add_argument("--threshold", type=float, default=0.01,
                     help="f-score threshold as a fraction of the grid diagonal")
-    ev.add_argument("--seed", type=int, default=None)
+    ev.add_argument("--seed", type=int, default=_default_seed())
     ev.add_argument("--force", action="store_true")
     ev.set_defaults(func=cmd_eval)
 
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--heads", type=int, default=8)
     be.add_argument("--trials", type=int, default=200)
     be.add_argument("--kernel", choices=("softmax", "relu"), default="relu")
-    be.add_argument("--seed", type=int, default=None)
+    be.add_argument("--seed", type=int, default=_default_seed())
     be.add_argument("--out", default=None)
     be.add_argument("--force", action="store_true")
     be.set_defaults(func=cmd_bench)
@@ -322,8 +319,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.seed is None and args.command != "train":  # train merges it with --config
-        args.seed = _default_seed()
     try:
         return args.func(args, argv)
     except UsageError as err:

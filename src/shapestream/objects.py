@@ -71,21 +71,17 @@ class SolidObject:
             mask |= part.contains(local)
         return mask
 
-    def ray_span(self, origin: np.ndarray, dirs: np.ndarray, near: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Entry and exit ``t`` of each ray's first chord through the object.
+    def ray_entry(self, origin: np.ndarray, dirs: np.ndarray, near: float) -> np.ndarray:
+        """Where each ray first enters the object at or past ``near``.
 
-        The rays are ``origin + t * dirs`` for ``t >= near``, with one world
-        point ``origin`` (3,) and dirs (n, 3); the chord is where ``contains``
-        holds, its entry clamped to ``near``. A ray that misses gets
-        ``(inf, -inf)``. Returns two (n,) arrays."""
+        The rays are ``origin + t * dirs``, with one world point ``origin`` (3,)
+        and dirs (n, 3). Returns the (n,) smallest ``t >= near`` at which
+        ``contains`` holds (``near`` itself if the ray is inside there), or
+        ``inf`` where the ray misses."""
         local_o = (np.asarray(origin, dtype=np.float64) - self.translation) @ self.rotation
         local_d = np.atleast_2d(np.asarray(dirs, dtype=np.float64)) @ self.rotation
-        if self.kind in ("lshape", "union"):
-            # every part is convex, so the first chord is the first part's
-            spans = np.array([p.ray_span(local_o, local_d, near) for p in self.parts])
-            first = np.argmin(spans[:, 0], axis=0)
-            return tuple(spans[first, :, np.arange(len(local_d))].T)
+        if self.kind in ("lshape", "union"):  # a union of convex parts
+            return np.min([p.ray_entry(local_o, local_d, near) for p in self.parts], axis=0)
         if self.kind == "box":  # slab method: each axis's slab is a 1-D ball
             t_in, t_out = _ball_span(local_o[:, None], local_d[:, :, None],
                                      self.dimensions["half_extents"])
@@ -98,8 +94,7 @@ class SolidObject:
                                          self.dimensions["half_height"])
             t_in, t_out = np.maximum(t_in, cap_in), np.minimum(t_out, cap_out)
         t_in = np.maximum(t_in, near)
-        miss = t_in > t_out
-        return np.where(miss, np.inf, t_in), np.where(miss, -np.inf, t_out)
+        return np.where(t_in <= t_out, t_in, np.inf)
 
     def bounding_radius(self) -> float:
         """Radius of a world-frame ball around the translation covering the object.

@@ -97,9 +97,9 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     """First-hit surface points of a pinhole raycast, in the camera frame.
 
     One ray per pixel, intersected in closed form with each object
-    (``SolidObject.ray_span``): a ray hits at the smallest entry over the
-    objects whose chord reaches ``RAY_NEAR`` (clamped to ``RAY_NEAR``) if that
-    entry is below ``RAY_FAR``. Back faces and self-occluded regions never
+    (``SolidObject.ray_entry``): a ray hits at its smallest entry into any
+    object at or past ``RAY_NEAR`` (``RAY_NEAR`` itself if it is inside an
+    object there) if that entry is below ``RAY_FAR``. Back faces and self-occluded regions never
     appear. No intersection -> empty cloud. An object is intersected only
     with the rays whose line meets its bounding sphere.
     """
@@ -120,8 +120,8 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
         radius = obj.bounding_radius() * (1.0 + 1e-6)
         closest = dirs_world @ center
         idx = np.flatnonzero(closest ** 2 >= center @ center - radius ** 2)
-        t_in, _ = obj.ray_span(pose.position, dirs_world[idx], RAY_NEAR)
-        hit_t[idx] = np.minimum(hit_t[idx], t_in)
+        hit_t[idx] = np.minimum(hit_t[idx], obj.ray_entry(pose.position, dirs_world[idx],
+                                                          RAY_NEAR))
     hit = hit_t < RAY_FAR
     if not hit.any():
         return PointCloud.empty()

@@ -12,6 +12,7 @@ from shapestream.objects import OBJECT_KINDS, SolidObject, gen_object, random_ro
 from shapestream.scenes import (
     DEFAULT_EXTENT,
     PROTOCOLS,
+    RAY_FAR,
     RAY_NEAR,
     CameraPose,
     DatasetManifest,
@@ -233,22 +234,27 @@ def _assert_agrees_with_march(objects, pose, image_size):
     assert np.all(np.isfinite(closed) | np.isinf(march))
     hit = np.isfinite(closed)
     d = camera_rays(pose, image_size)[hit]
-    p = pose.position + closed[hit, None] * d
-    spans = np.array([o.ray_span(pose.position, d, RAY_NEAR) for o in objects])
-    first = np.argmin(spans[:, 0], axis=0)
-    t_in, t_out = spans[first, :, np.arange(len(d))].T
-    np.testing.assert_allclose(t_in, closed[hit], rtol=0, atol=1e-12)
-    chord = t_out - t_in
+    t = closed[hit]
+    entry = np.min([o.ray_entry(pose.position, d, RAY_NEAR) for o in objects], axis=0)
+    np.testing.assert_allclose(entry, t, rtol=0, atol=1e-12)
 
-    def inside(points):
-        return np.any([o.contains(points) for o in objects], axis=0)
+    def inside(ts, d):  # ts (rays, probes) along the rays d (rays, 3)
+        pts = (pose.position + ts[..., None] * d[:, None]).reshape(-1, 3)
+        return np.any([o.contains(pts) for o in objects], axis=0).reshape(ts.shape)
 
-    solid = chord > 2e-9  # the 1e-9 probes below stay within the chord
-    assert inside(p + 1e-9 * d)[solid].all()
-    assert not inside(p - 1e-9 * d)[solid].any()
-    differ = np.abs(closed[hit] - march[hit]) > 1e-8
-    assert np.all(closed[hit][differ] < march[hit][differ])
-    assert np.all(chord[differ] < MARCH_STEP)
+    assert inside(t[:, None] + 1e-9, d).all()
+    assert not inside(t[:, None] - 1e-9, d).any()
+    differ = np.abs(t - march[hit]) > 1e-8
+    assert np.all(t[differ] < march[hit][differ])
+    # the chord entered at t is shorter than the step: a point less than one
+    # step past t is outside. The march's first sample past t is one when the
+    # march skipped the chord; a 1/256-step comb finds one when its bisection
+    # passed the chord for a later entry between the same two samples.
+    samples = np.arange(RAY_NEAR, RAY_FAR, MARCH_STEP)
+    t_d = t[differ, None]
+    probes = np.hstack([samples[np.searchsorted(samples, t_d)],
+                        t_d + MARCH_STEP * np.arange(1, 256) / 256])
+    assert not inside(probes, d[differ]).all(axis=1).any()
     return cloud, np.flatnonzero(hit)[differ]
 
 
