@@ -8,6 +8,8 @@ Each record: u16 name length | name utf-8 | u8 ndim | u32 dims... | f32 data.
 Weights are stored as float32. A load followed by a save reproduces the file
 byte for byte, and everything derived from a loaded model is deterministic;
 the first save of a freshly trained float64 model rounds to float32 once.
+A ``max_views`` config key, from before ``model.MAX_VIEWS`` was a constant,
+is dropped on load, so such a checkpoint re-saves without it.
 """
 
 from __future__ import annotations
@@ -91,8 +93,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     (cfg_len,) = unpack("<I", "config length")
     cfg_json = take(cfg_len, "config JSON")
     try:
-        config = ModelConfig.from_dict(json.loads(cfg_json.decode()))
-    except (ValueError, TypeError, KeyError) as err:
+        raw = json.loads(cfg_json.decode())
+        config = ModelConfig.from_dict({k: v for k, v in raw.items() if k != "max_views"})
+    except (ValueError, TypeError, KeyError, AttributeError) as err:
         raise CheckpointError(f"embedded model config is invalid: {err}") from err
     (count,) = unpack("<I", "tensor count")
     params: dict[str, np.ndarray] = {}

@@ -10,6 +10,7 @@ failure (aborted training).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -25,7 +26,7 @@ from .metrics import EXPORT_KINDS, evaluate_split
 from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, SPLITS, DatasetError, build_manifest, \
     read_manifest, read_sequence_grids, write_dataset
-from .train import TrainingDiverged, train, training_sequences
+from .train import TrainingDiverged, train
 from .voxel import VxgError
 
 EXIT_OK = 0
@@ -150,8 +151,7 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
 def cmd_train(args, argv: list) -> int:
     manifest = read_manifest(args.data)
     config, train_settings = _assemble_model_config(args, manifest)
-    train_data = training_sequences(
-        config, [(f, t) for _, f, t in _load_split(args.data, manifest, "train")])
+    train_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "train")]
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
         raise MismatchError(f"dataset {args.data} has no train split")
@@ -239,7 +239,9 @@ def cmd_bench(args, argv: list) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, so ``main`` reads ``$MVP_SEED`` per call."""
     parser = argparse.ArgumentParser(
         prog="shapestream",
         description="streaming multi-view shape completion at toy voxel scale")
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--objects", type=int, default=10)
     gen.add_argument("--res", type=int, default=16)
     gen.add_argument("--views", type=int, default=DEFAULT_VIEWS)
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=None)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(func=cmd_gen_data)
@@ -294,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--points", type=int, default=2048)
     ev.add_argument("--threshold", type=float, default=0.01,
                     help="f-score threshold as a fraction of the grid diagonal")
-    ev.add_argument("--seed", type=int, default=_default_seed())
+    ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--force", action="store_true")
     ev.set_defaults(func=cmd_eval)
 
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--heads", type=int, default=8)
     be.add_argument("--trials", type=int, default=200)
     be.add_argument("--kernel", choices=("softmax", "relu"), default="relu")
-    be.add_argument("--seed", type=int, default=_default_seed())
+    be.add_argument("--seed", type=int, default=None)
     be.add_argument("--out", default=None)
     be.add_argument("--force", action="store_true")
     be.set_defaults(func=cmd_bench)
@@ -320,6 +322,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.seed is None and args.func is not cmd_train:  # train merges it under --config
+            args.seed = _default_seed()
         return args.func(args, argv)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -26,7 +26,8 @@ rows: the associative memory for mvp (constant size), the stored key/value
 history for mvt (growing) and (h, c) for lstm. A training sequence is the
 recurrence unrolled from a fresh state: ``sequence_predictions`` serves
 training (with gradients), validation and eval (under ``no_grad``), carrying
-one state through passes of ``max_views`` frames, so a sequence may be of
+one state through passes of at most ``MAX_VIEWS`` frames (no gradient flows
+between passes; 3, 6 or 12 training views fit one), so a sequence may be of
 any length. ``forward_step`` advances a copy of the caller's state by one
 frame, so a step that raises leaves the caller's state as it was.
 """
@@ -34,13 +35,13 @@ frame, so a step that raises leaves the caller's state as it was.
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import attention as attn
 from .autograd import Tensor, concat, conv3d, conv_transpose3d, no_grad
+from .checks import check_fields, rule
 from .voxel import VoxelGrid
 
 logger = logging.getLogger(__name__)
@@ -53,6 +54,7 @@ DEC_KERNEL, DEC_STRIDE, DEC_PAD = 4, 2, 1
 RMS_EPS = 1e-6
 BCE_EPS = 1e-7
 MLP_RATIO = 2  # block MLP hidden width, in multiples of latent_dim
+MAX_VIEWS = 64  # frames per forward pass; the weights do not depend on it
 OUTPUT_BIAS_INIT = -2.0  # sparse-occupancy prior on the sigmoid head
 
 
@@ -61,61 +63,31 @@ OUTPUT_BIAS_INIT = -2.0  # sparse-occupancy prior on the sigmoid head
 # ---------------------------------------------------------------------------
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str = "mvp"
-    resolution: int = 16
-    latent_dim: int = 128
-    qk_dim: int = 32
-    feature_count: int = 64          # softmax kernel only, per head
-    kernel: str = "relu"             # attention kernel for mvp/mvt
-    performer_layers: int = 2
-    attention_heads: int = 1
+    """Hyperparameters; ``validate`` checks each field's rule, then the rules across fields."""
+    variant: str = rule("mvp", choices=VARIANTS)
+    resolution: int = rule(16, min=1)
+    latent_dim: int = rule(128, min=1)
+    qk_dim: int = rule(32, min=1)
+    feature_count: int = rule(64, min=1)   # softmax kernel only, per head
+    kernel: str = rule("relu", choices=attn.KERNEL_KINDS)
+    performer_layers: int = rule(2, min=1)
+    attention_heads: int = rule(1, min=1)
     conv_channels: tuple = (8, 16, 32)
-    train_views: int = 12
-    max_views: int = 64              # frames per forward pass
-    seed: int = 0
+    train_views: int = rule(12, choices=TRAIN_VIEW_CHOICES)
+    seed: int = rule(0, min=0)
 
     def __post_init__(self):
         if isinstance(self.conv_channels, list):
             object.__setattr__(self, "conv_channels", tuple(self.conv_channels))
 
     def validate(self) -> "ModelConfig":
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not _is_int(value):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "str" and not isinstance(value, str):
-                raise ValueError(f"{f.name} must be a string, got {value!r}")
-        if not (isinstance(self.conv_channels, tuple)
-                and all(_is_int(c) and c >= 1 for c in self.conv_channels)):
-            raise ValueError(f"conv_channels must be a list of positive integers, "
-                             f"got {self.conv_channels!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.train_views not in TRAIN_VIEW_CHOICES:
+        check_fields(self, "config", ValueError)
+        if not self.conv_channels or self.resolution % 2 ** len(self.conv_channels):
             raise ValueError(
-                f"train_views must be one of {TRAIN_VIEW_CHOICES}, got {self.train_views}")
-        if self.kernel not in attn.KERNEL_KINDS:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
-        if not self.conv_channels:
-            raise ValueError("invalid channel schedule: empty")
-        r = self.resolution
-        for _ in self.conv_channels:
-            if r % 2 != 0:
-                raise ValueError(
-                    f"invalid channel schedule: resolution {self.resolution} does not "
-                    f"halve through {len(self.conv_channels)} conv stages")
-            r //= 2
-        if r < 1:
-            raise ValueError("invalid channel schedule: spatial size collapses below 1")
-        if min(self.latent_dim, self.qk_dim, self.feature_count,
-               self.performer_layers, self.attention_heads, self.max_views) < 1:
-            raise ValueError("model dimensions must be positive")
+                f"invalid channel schedule {self.conv_channels}: needs at least one conv "
+                f"stage, and resolution {self.resolution} to halve exactly through each")
         if self.qk_dim % self.attention_heads or self.latent_dim % self.attention_heads:
             raise ValueError(
                 f"qk_dim {self.qk_dim} and latent_dim {self.latent_dim} must be "
@@ -421,7 +393,7 @@ def _frame_values(frame) -> np.ndarray:
 
 def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
     """Predictions for every frame of a sequence, from one fresh state carried
-    through passes of at most ``max_views`` frames; gradient-tracked within a
+    through passes of at most ``MAX_VIEWS`` frames; gradient-tracked within a
     pass unless called under ``no_grad``."""
     cfg = model.config
     if not frames:
@@ -432,8 +404,8 @@ def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
             raise ValueError(
                 f"frame shape {v.shape} does not match model resolution {cfg.resolution}")
     state, r = model.init_state(), cfg.resolution
-    passes = [_forward(model, np.stack(values[s : s + cfg.max_views]), state)
-              for s in range(0, len(values), cfg.max_views)]
+    passes = [_forward(model, np.stack(values[s : s + MAX_VIEWS]), state)
+              for s in range(0, len(values), MAX_VIEWS)]
     return [p.narrow(0, i, 1).reshape(r, r, r) for p in passes for i in range(p.shape[0])]
 
 

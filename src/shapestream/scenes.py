@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .checks import check_fields, rule
 from .objects import OBJECT_KINDS, SolidObject, gen_object
 from .voxel import PointCloud, VoxelGrid, read_vxg, voxelize, write_vxg
 
@@ -276,10 +277,10 @@ def _with_fields(raw, spec, where: str) -> dict:
 @dataclass
 class ObjectSpec:
     object_id: str
-    kind: str
-    seed: int
+    kind: str = rule(choices=OBJECT_KINDS)
+    seed: int = rule(min=0)
     scale: float = 1.0
-    split: str = ""
+    split: str = rule("", choices=SPLITS)
 
     def build(self) -> SolidObject:
         return gen_object(self.kind, self.seed, self.scale)
@@ -289,19 +290,19 @@ class ObjectSpec:
 class SequenceSpec:
     seq_id: str
     object_ids: list[str]
-    seed: int
-    split: str = ""
+    seed: int = rule(min=0)
+    split: str = rule("", choices=SPLITS)
 
 
 @dataclass
 class DatasetManifest:
-    protocol: str
-    resolution: int
-    views: int
-    seed: int
+    protocol: str = rule(choices=PROTOCOLS)
+    resolution: int = rule(min=1)
+    views: int = rule(min=1)
+    seed: int = rule(min=0)
     extent: float = DEFAULT_EXTENT
-    image_size: int = DEFAULT_IMAGE_SIZE
-    version: int = MANIFEST_VERSION
+    image_size: int = rule(DEFAULT_IMAGE_SIZE, min=1)
+    version: int = rule(MANIFEST_VERSION, choices=(MANIFEST_VERSION,))
     objects: list[ObjectSpec] = field(default_factory=list)
     sequences: list[SequenceSpec] = field(default_factory=list)
 
@@ -316,53 +317,26 @@ class DatasetManifest:
 
     @classmethod
     def from_json(cls, text: str | bytes) -> "DatasetManifest":
+        """The manifest in ``text``, or ``DatasetError`` naming what is wrong."""
         try:
             raw = json.loads(text)
         except ValueError as err:
             raise DatasetError(f"manifest is not valid JSON: {err}") from err
-        if not isinstance(raw, dict):
-            raise DatasetError("manifest must be a JSON object")
-        if raw.get("version") != MANIFEST_VERSION:
-            raise DatasetError(f"unsupported manifest version {raw.get('version')}")
         _with_fields(raw, cls, "manifest")
         for key, spec in (("objects", ObjectSpec), ("sequences", SequenceSpec)):
             if not isinstance(raw[key], list):
                 raise DatasetError(f"manifest {key} must be a list")
-            raw[key] = [spec(**_with_fields(e, spec, f"manifest {key} entry")) for e in raw[key]]
-        manifest = cls(**raw)
-        for name in ("resolution", "views", "image_size"):
-            value = getattr(manifest, name)
-            if type(value) is not int or value < 1:
-                raise DatasetError(f"manifest {name} must be an integer >= 1, got {value!r}")
-        extent = manifest.extent
-        if type(extent) not in (int, float) or not 0.0 < extent < float("inf"):
-            raise DatasetError(f"manifest extent must be a finite number > 0, got {extent!r}")
-        for obj in manifest.objects:
-            scale = obj.scale
-            if obj.kind not in OBJECT_KINDS or type(obj.seed) is not int \
-                    or type(scale) not in (int, float) or not 0.0 < scale < float("inf"):
-                raise DatasetError(f"manifest object {obj.object_id!r} needs a kind in "
-                                   f"{OBJECT_KINDS}, an integer seed and a finite scale > 0, "
-                                   f"got {obj.kind!r}, {obj.seed!r}, {obj.scale!r}")
-        if manifest.protocol not in PROTOCOLS:
-            raise DatasetError(f"manifest protocol {manifest.protocol!r} is not one of {PROTOCOLS}")
+            raw[key] = [spec(**_with_fields(e, spec, f"manifest {key}[{i}]"))
+                        for i, e in enumerate(raw[key])]
+        manifest = check_fields(cls(**raw), "manifest", DatasetError)
         for kind, ids in (("object", [o.object_id for o in manifest.objects]),
                           ("sequence", [s.seq_id for s in manifest.sequences])):
-            if any(type(i) is not str for i in ids) or len(set(ids)) < len(ids):
-                bad = next(i for n, i in enumerate(ids) if type(i) is not str or i in ids[:n])
-                raise DatasetError(f"manifest {kind} id {bad!r} is not a string or is repeated")
+            if len(set(ids)) < len(ids):
+                bad = next(i for n, i in enumerate(ids) if i in ids[:n])
+                raise DatasetError(f"manifest {kind} id {bad!r} is repeated")
         known = manifest.objects_by_id()
         needed = 2 if manifest.protocol in TWO_OBJECT_PROTOCOLS else 1
         for seq in manifest.sequences:
-            if type(seq.seed) is not int:
-                raise DatasetError(f"manifest sequence {seq.seq_id!r} seed must be an "
-                                   f"integer, got {seq.seed!r}")
-            if seq.split not in SPLITS:
-                raise DatasetError(f"manifest sequence {seq.seq_id!r} has split {seq.split!r}, "
-                                   f"not one of {SPLITS}")
-            if type(seq.object_ids) is not list or any(type(o) is not str for o in seq.object_ids):
-                raise DatasetError(f"manifest sequence {seq.seq_id!r} object_ids must be a "
-                                   f"list of strings, got {seq.object_ids!r}")
             if len(seq.object_ids) != needed:
                 raise DatasetError(f"manifest sequence {seq.seq_id!r} names {len(seq.object_ids)} "
                                    f"objects; {manifest.protocol} needs {needed}")
@@ -400,12 +374,7 @@ def split_objects(count: int, ratios: tuple = (0.8, 0.1, 0.1), seed: int = 0) ->
 def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,
                    seed: int, ratios: tuple = (0.8, 0.1, 0.1)) -> DatasetManifest:
     """Objects, split assignment and sequence pairings for one protocol."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    if protocol in TWO_OBJECT_PROTOCOLS and n_objects < 2:
-        raise ValueError(f"{protocol} needs at least 2 objects, got {n_objects}")
-    if resolution < 1 or views < 1:
-        raise ValueError(f"resolution and views must be >= 1, got {resolution} and {views}")
+    check_fields(DatasetManifest(protocol, resolution, views, seed), "dataset", ValueError)
     rng = np.random.default_rng(seed)
     two_object = protocol in TWO_OBJECT_PROTOCOLS
     scale = 0.6 if two_object else 1.0

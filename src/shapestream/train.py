@@ -1,8 +1,10 @@
 """Adam training loop over view sequences with validation checkpointing.
 
 Training consumes the first ``train_views`` frames of each sequence (the
-3/6/12-view ablation knob) in one forward pass; validation runs that forward
-without gradients over full sequences. The best-validation checkpoint is
+3/6/12-view ablation knob), which fit one forward pass of ``model.MAX_VIEWS``
+(64) frames; validation runs the same forward without gradients over full
+sequences. ``steps``, ``val_every`` and ``learning_rate`` are checked with
+the shared predicates of ``checks``. The best-validation checkpoint is
 retained. Non-finite losses or gradients skip the step; ten consecutive
 failures abort the run.
 """
@@ -11,19 +13,17 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autograd import no_grad
 from .checkpoint import save_checkpoint
+from .checks import is_int, is_positive_real
 from .metrics import jaccard_values
 from .model import (
     ModelConfig,
     MvpModel,
-    _is_int,
     bce_from_predictions,
     build_model,
     sequence_predictions,
@@ -62,16 +62,6 @@ def evaluate_sequences(model: MvpModel, sequences: list) -> tuple[float, float]:
     return float(np.mean(losses)), float(np.mean(jaccards))
 
 
-def training_sequences(config: ModelConfig, data: list) -> list:
-    """Each sequence's first ``train_views`` frames, each within one forward
-    pass (no gradient flows from one pass to the next)."""
-    data = [(f[: config.train_views], t[: config.train_views]) for f, t in data]
-    views = max((len(f) for f, _ in data), default=0)
-    if views > config.max_views:
-        raise ValueError(f"training on {views} views exceeds max_views {config.max_views}")
-    return data
-
-
 def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
           checkpoint_path, metrics_path=None, learning_rate: float = 1e-3,
           val_every: int = 100, stop_at_train_jaccard: float | None = None
@@ -82,15 +72,14 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
     VoxelGrid lists. The trained model, metrics rows and the retained
     checkpoint are returned.
     """
-    if not (_is_int(steps) and steps >= 0):
+    if not (is_int(steps) and steps >= 0):
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-    if not (_is_int(val_every) and val_every >= 1):
+    if not (is_int(val_every) and val_every >= 1):
         raise ValueError(f"val_every must be an integer >= 1, got {val_every!r}")
-    if not (isinstance(learning_rate, numbers.Real) and not isinstance(learning_rate, bool)
-            and math.isfinite(learning_rate) and learning_rate > 0):
+    if not is_positive_real(learning_rate):
         raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
     model = build_model(config)
-    train_data = training_sequences(config, train_data)
+    train_data = [(f[: config.train_views], t[: config.train_views]) for f, t in train_data]
     state = AdamState(learning_rate=learning_rate)
     rng = np.random.default_rng(config.seed)
     result = TrainResult(checkpoint_path=str(checkpoint_path), model=model)

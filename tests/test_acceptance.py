@@ -121,7 +121,7 @@ def test_04_constant_memory_vs_growing_history():
 
     config = ModelConfig(variant="mvt", resolution=8, latent_dim=16, qk_dim=8,
                          performer_layers=1, conv_channels=(2, 4), train_views=3,
-                         max_views=64, seed=0)
+                         seed=0)
     model = build_model(config)
     state = model.init_state()
     mvt_sizes = []
@@ -284,7 +284,7 @@ def test_10_model_causality():
         variant: build_model(ModelConfig(
             variant=variant, resolution=8, latent_dim=16, qk_dim=8, feature_count=8,
             kernel="relu", performer_layers=1, conv_channels=(2, 4), train_views=3,
-            max_views=8, seed=0))
+            seed=0))
         for variant in ("mvp", "mvt", "lstm")
     }
     ok = True

@@ -1,5 +1,6 @@
 """Checkpoint wire format: round trips, integrity, config verification."""
 
+import json
 import struct
 import zlib
 
@@ -91,6 +92,22 @@ def _saved_body(tmp_path) -> bytes:
 def _write_with_crc(path, body: bytes):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return path
+
+
+@pytest.mark.parametrize("max_views", [4, 64])
+def test_checkpoint_with_former_max_views_key_loads(tmp_path, max_views):
+    """Checkpoints from before MAX_VIEWS became a constant carry a max_views
+    config key. They load with the key dropped, so a re-save equals the
+    checkpoint of the same weights written without it."""
+    body = _saved_body(tmp_path)
+    (cfg_len,) = struct.unpack_from("<I", body, 8)
+    config = json.loads(body[12 : 12 + cfg_len])
+    legacy = json.dumps({**config, "max_views": max_views}, sort_keys=True).encode()
+    path = _write_with_crc(tmp_path / "legacy.mvpc", body[:8] + struct.pack("<I", len(legacy))
+                           + legacy + body[12 + cfg_len :])
+    model = load_model(path)
+    save_checkpoint(tmp_path / "resaved.mvpc", model.config, model.params)
+    assert (tmp_path / "resaved.mvpc").read_bytes() == (tmp_path / "m.mvpc").read_bytes()
 
 
 def _tensor_count_offset(body: bytes) -> int:

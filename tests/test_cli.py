@@ -1,15 +1,22 @@
 """End-to-end CLI runs on tiny datasets (in-process, exit-code contracts)."""
 
+import copy
 import csv
 import json
 import struct
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shapestream import model as model_module
 from shapestream.checkpoint import load_model
 from shapestream.cli import main
+from shapestream.scenes import DatasetError, build_manifest, read_manifest
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -236,23 +243,25 @@ def test_train_float_config_value_exits_2(tmp_path, capsys):
     assert "latent_dim must be an integer" in capsys.readouterr().err
 
 
-def test_train_views_past_max_views_exits_2_before_out(tmp_path, capsys):
+def test_set_max_views_exits_2_as_unknown_key(tmp_path, capsys):
+    """max_views is the constant model.MAX_VIEWS, no longer a config key."""
     data = gen(tmp_path, views=8)
     out = tmp_path / "run"
     code = main(["train", "--data", data, "--out", str(out), "--steps", "1",
                  "--train-views", "12", "--set", "max_views=6"])
     assert code == 2
-    assert "max_views" in capsys.readouterr().err
+    assert "unknown config keys: ['max_views']" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_train_views_past_max_views_on_short_sequences_trains_and_evals(tmp_path):
-    """12 train views over 3-view sequences fit max_views=3: training runs,
+def test_train_views_past_max_views_on_short_sequences_trains_and_evals(tmp_path, monkeypatch):
+    """12 train views over 3-view sequences fit MAX_VIEWS=3: training runs,
     and eval loads its checkpoint."""
+    monkeypatch.setattr(model_module, "MAX_VIEWS", 3)
     data = gen(tmp_path)
     run = tmp_path / "run"
     assert main(["train", "--data", data, "--out", str(run), "--steps", "1",
-                 "--train-views", "12", "--set", "max_views=3"]) == 0
+                 "--train-views", "12"]) == 0
     assert main(["eval", "--checkpoint", str(run / "checkpoint.mvpc"), "--data", data,
                  "--out", str(tmp_path / "eval")]) == 0
 
@@ -364,6 +373,10 @@ MANIFEST_EDITS = {
     "object_ids_two_for_one_object_protocol": lambda m: m["sequences"][0].update(
         object_ids=m["sequences"][0]["object_ids"] * 2),
     "object_ids_one_for_two_object_protocol": lambda m: m.update(protocol="slide_behind"),
+    "seed_string": lambda m: m.update(seed="x"),
+    "object_split_unknown": lambda m: m["objects"][0].update(split="bogus"),
+    "object_split_int": lambda m: m["objects"][0].update(split=3),
+    "version_true": lambda m: m.update(version=True),
 }
 
 
@@ -387,6 +400,66 @@ def test_invalid_manifest_exits_3_before_out(tmp_path, capsys, command, edit):
     assert not out.exists()
 
 
+FUZZ_BASES = [json.loads(build_manifest(protocol, 4, resolution=8, views=3, seed=11).to_json())
+              for protocol in ("camera_pan", "slide_behind")]
+DELETE = object()
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 70), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+    st.sampled_from(["train", "val", "test", "box", "union", "camera_pan", "slide_behind",
+                     "obj0000", "obj0003"]),
+    st.lists(st.sampled_from(["obj0000", "obj0001", "obj0002", "x"]), max_size=3),
+    st.just({}), st.just(DELETE))
+
+
+@st.composite
+def manifest_mutations(draw) -> tuple:
+    """A generated manifest with one field of the manifest, or of one of its
+    object or sequence entries, deleted, set to a JSON value or added; then
+    the field's old and new value (``DELETE`` where there is none)."""
+    manifest = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    entry = manifest
+    where = draw(st.sampled_from(["manifest", "objects", "sequences"]))
+    if where != "manifest":
+        entry = draw(st.sampled_from(manifest[where]))
+    key = draw(st.sampled_from([*entry, "colour"]))
+    old, new = entry.get(key, DELETE), draw(JSON_VALUES)
+    if new is DELETE:
+        entry.pop(key, None)
+    else:
+        entry[key] = new
+    return manifest, old, new
+
+
+def _same_json_kind(old, new) -> bool:
+    """null, bool, int, str, list and object are distinct kinds; an int may
+    stand for a float."""
+    return type(new) in (int, float) if type(old) is float else type(new) is type(old)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutation=manifest_mutations())
+def test_manifest_field_mutation_exits_3_or_loads_as_written(mutation):
+    """Each mutated manifest either fails to load with DatasetError, and eval
+    on it exits 3 before --out exists, or loads equal to the JSON written. A
+    deleted or added field, or a value of another JSON kind, never loads."""
+    manifest, old, new = mutation
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "data", Path(tmp) / "out"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        try:
+            loaded = read_manifest(data)
+        except DatasetError:
+            assert main(["eval", "--checkpoint", "oracle", "--data", str(data),
+                         "--out", str(out)]) == 3
+            assert not out.exists()
+        else:
+            assert json.loads(loaded.to_json()) == manifest
+            unchanged = old is new is DELETE  # an absent field deleted
+            assert unchanged or DELETE not in (old, new) and _same_json_kind(old, new)
+
+
 @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],
                                    ["--threshold", "0"], ["--points", "0"]],
                          ids=["threshold_nan", "threshold_inf", "threshold_zero", "points_zero"])
@@ -397,6 +470,23 @@ def test_eval_invalid_threshold_or_points_exits_2(tmp_path, capsys, flags):
     assert code == 2
     assert f"{flags[0]} must be" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+def test_mvp_seed_read_at_each_parse_in_one_process(tmp_path, monkeypatch):
+    """The parser is built once per process; each call still takes its
+    default seed from MVP_SEED as it is when that call parses."""
+    data = gen(tmp_path)
+    for seed in ("5", "9"):
+        monkeypatch.setenv("MVP_SEED", seed)
+        runs = {"gen": ["gen-data", "--protocol", "camera_pan", "--objects", "4", "--res", "8",
+                        "--views", "3"],
+                "eval": ["eval", "--checkpoint", "oracle", "--data", data, "--points", "16"],
+                "bench": ["bench", "--lengths", "4", "--dim", "8", "--heads", "1",
+                          "--trials", "1"]}
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}{seed}"
+            assert main([*argv, "--out", str(out)]) == 0
+            assert json.loads((out / "provenance.json").read_text())["seed"] == int(seed)
 
 
 def test_mvp_seed_env_var_used_as_default(tmp_path, monkeypatch):

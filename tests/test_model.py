@@ -160,9 +160,9 @@ STREAM_CASES = {
 
 @pytest.mark.parametrize("case", list(STREAM_CASES))
 def test_streamed_blocks_of_frames_match_sequence_unroll(case, monkeypatch):
-    """10 frames at max_views=4 run as passes of 4, 4 and 2 frames through one
+    """10 frames at MAX_VIEWS=4 run as passes of 4, 4 and 2 frames through one
     state and give both one unrolled pass's and the forward_step stream's
-    predictions; max_views leaves the weights unchanged."""
+    predictions."""
     values, _ = random_frames(10, seed=33)
     model = build_model(tiny_config(**STREAM_CASES[case]))
     with no_grad():
@@ -174,9 +174,9 @@ def test_streamed_blocks_of_frames_match_sequence_unroll(case, monkeypatch):
     streamed = np.stack(streamed)
     spy = mock.Mock(wraps=_forward)
     monkeypatch.setattr(model_module, "_forward", spy)
+    monkeypatch.setattr(model_module, "MAX_VIEWS", 4)
     with no_grad():
-        chunked = np.stack([p.data for p in sequence_predictions(
-            build_model(tiny_config(**STREAM_CASES[case], max_views=4)), values)])
+        chunked = np.stack([p.data for p in sequence_predictions(model, values)])
     assert [len(call.args[1]) for call in spy.call_args_list] == [4, 4, 2]
     np.testing.assert_allclose(chunked, unrolled, rtol=0, atol=1e-12)
     np.testing.assert_allclose(chunked, streamed, rtol=0, atol=1e-12)
@@ -235,7 +235,7 @@ def test_mvp_state_size_constant_mvt_state_grows():
     values, _ = random_frames(12, seed=4)
     frames = as_grids(values)
 
-    mvp = build_model(tiny_config("mvp", max_views=16))
+    mvp = build_model(tiny_config("mvp"))
     state = mvp.init_state()
     sizes = []
     for frame in frames:
@@ -243,7 +243,7 @@ def test_mvp_state_size_constant_mvt_state_grows():
         sizes.append(state.nbytes)
     assert len(set(sizes)) == 1
 
-    mvt = build_model(tiny_config("mvt", max_views=16))
+    mvt = build_model(tiny_config("mvt"))
     state = mvt.init_state()
     sizes = []
     for frame in frames:
@@ -252,15 +252,15 @@ def test_mvp_state_size_constant_mvt_state_grows():
     assert all(b > a for a, b in zip(sizes, sizes[1:]))
 
 
-def test_mvp_streams_past_max_views_with_constant_state():
+def test_mvp_streams_past_max_views_with_constant_state(monkeypatch):
     """1000 streamed frames: no position limit, constant memory, outputs in
-    (0, 1) and equal to one unrolled pass over the same frames. max_views
-    sets only the frames per pass and leaves the weights unchanged."""
+    (0, 1) and equal to one unrolled pass over the same frames (MAX_VIEWS
+    raised to 1000 for that pass)."""
     model = build_model(tiny_config("mvp", kernel="relu"))
-    assert model.config.max_views < 1000
+    assert model_module.MAX_VIEWS < 1000
     values, _ = random_frames(1000, seed=6)
-    unrolled = sequence_predictions(
-        build_model(tiny_config("mvp", kernel="relu", max_views=1000)), values)
+    monkeypatch.setattr(model_module, "MAX_VIEWS", 1000)
+    unrolled = sequence_predictions(model, values)
     state = model.init_state()
     sizes = set()
     for i, frame in enumerate(as_grids(values)):

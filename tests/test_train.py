@@ -99,20 +99,12 @@ def test_train_views_limits_frames_consumed(tmp_path, monkeypatch):
         np.testing.assert_array_equal(values, np.stack(frames[:3]))
 
 
-def test_training_sequence_longer_than_max_views_rejected(tmp_path):
-    """A sequence of more than max_views training frames would be cut into
-    passes with no gradient between them; train() refuses it up front."""
-    path = tmp_path / "ck.mvpc"
-    with pytest.raises(ValueError, match="max_views"):
-        train(tiny_config(train_views=6, max_views=4), toy_dataset(frames_per=6), [],
-              steps=1, checkpoint_path=path)
-    assert not path.exists()
-
-
-def test_train_views_past_max_views_on_short_sequences_trains_and_loads(tmp_path):
+def test_train_views_past_max_views_on_short_sequences_trains_and_loads(tmp_path,
+                                                                        monkeypatch):
     """train_views only caps the frames used: 12 over 4-frame sequences is one
-    pass at max_views=4, and the checkpoint it saves loads."""
-    config = tiny_config(train_views=12, max_views=4)
+    pass at MAX_VIEWS=4, and the checkpoint it saves loads."""
+    monkeypatch.setattr(model_module, "MAX_VIEWS", 4)
+    config = tiny_config(train_views=12)
     path = tmp_path / "ck.mvpc"
     result = train(config, toy_dataset(frames_per=4), [], steps=1, checkpoint_path=path)
     assert result.steps_run == 1
