@@ -15,18 +15,21 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .attention import KERNEL_KINDS
 from .bench import bench_attention, format_table, write_results
 from .checkpoint import CheckpointError, load_model
+from .checks import check_fields, is_positive_real
 from .metrics import EXPORT_KINDS, evaluate_split
-from .model import ModelConfig, TRAIN_VIEW_CHOICES, VARIANTS
+from .model import ModelConfig
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, SPLITS, DatasetError, build_manifest, \
     read_manifest, read_sequence_grids, write_dataset
-from .train import TrainingDiverged, train
+from .train import TrainingDiverged, TrainSettings, train
 from .voxel import VxgError
 
 EXIT_OK = 0
@@ -34,7 +37,13 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
-TRAIN_DEFAULTS = {"steps": 500, "learning_rate": 1e-3, "val_every": 100}
+SETTING_FIELDS = fields(ModelConfig) + fields(TrainSettings)  # one train flag each
+# the flags not named as their field with '-' for '_'
+SETTING_FLAGS = {"resolution": "--res", "feature_count": "--features",
+                 "performer_layers": "--layers", "attention_heads": "--heads",
+                 "conv_channels": "--channels", "learning_rate": "--lr"}
+SETTING_HELP = {"resolution": "default: the dataset's resolution",
+                "seed": "random seed (default $MVP_SEED, else 0)"}
 
 
 class UsageError(Exception):
@@ -46,7 +55,15 @@ class MismatchError(Exception):
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MVP_SEED", "0"))
+    raw = os.environ.get("MVP_SEED", "0")
+    if not raw.isdecimal():
+        raise UsageError(f"MVP_SEED must be an integer >= 0, got {raw!r}")
+    return int(raw)
+
+
+def _int_list(text: str) -> tuple:
+    """A comma list of integers, as ``--channels`` and ``--lengths`` take it."""
+    return tuple(int(c) for c in text.split(","))
 
 
 def _prepare_out(path: str, force: bool) -> Path:
@@ -114,11 +131,11 @@ def cmd_gen_data(args, argv: list) -> int:
     return EXIT_OK
 
 
-def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
-    """Model config and training settings from one merge: defaults, then
-    --config, then --set, then explicit flags."""
+def _assemble_model_config(args, manifest) -> tuple[ModelConfig, TrainSettings]:
+    """Checked model config and training settings from one merge: defaults,
+    then --config, then --set, then explicit flags."""
     settings: dict = {"resolution": manifest.resolution, "seed": _default_seed(),
-                      **TRAIN_DEFAULTS}
+                      **asdict(TrainSettings())}
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
@@ -126,31 +143,22 @@ def _assemble_model_config(args, manifest) -> tuple[ModelConfig, dict]:
                              f"got {type(loaded).__name__}")
         settings.update(loaded)
     settings.update(_parse_set_overrides(args.set))
-    flag_map = {
-        "variant": args.variant, "train_views": args.train_views,
-        "kernel": args.kernel, "latent_dim": args.latent_dim,
-        "qk_dim": args.qk_dim, "feature_count": args.features,
-        "performer_layers": args.layers, "resolution": args.res,
-        "attention_heads": args.heads, "steps": args.steps,
-        "learning_rate": args.lr, "val_every": args.val_every, "seed": args.seed,
-    }
-    if getattr(args, "channels", None):
-        flag_map["conv_channels"] = [int(c) for c in args.channels.split(",")]
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
-    train_settings = {k: settings.pop(k) for k in TRAIN_DEFAULTS}
+    for f in SETTING_FIELDS:
+        if getattr(args, f.name) is not None:
+            settings[f.name] = getattr(args, f.name)
+    training = TrainSettings(**{f.name: settings.pop(f.name) for f in fields(TrainSettings)})
+    check_fields(training, "training", ValueError)
     config = ModelConfig.from_dict(settings)
     if config.resolution != manifest.resolution:
         raise MismatchError(
             f"config resolution {config.resolution} does not match dataset "
             f"resolution {manifest.resolution}")
-    return config, train_settings
+    return config, training
 
 
 def cmd_train(args, argv: list) -> int:
     manifest = read_manifest(args.data)
-    config, train_settings = _assemble_model_config(args, manifest)
+    config, training = _assemble_model_config(args, manifest)
     train_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "train")]
     val_data = [(f, t) for _, f, t in _load_split(args.data, manifest, "val")]
     if not train_data:
@@ -160,7 +168,7 @@ def cmd_train(args, argv: list) -> int:
         print("note: single_view keeps no sequence state; views are completed "
               "independently")
     result = train(config, train_data, val_data, checkpoint_path=out / "checkpoint.mvpc",
-                   metrics_path=out / "metrics.csv", **train_settings)
+                   metrics_path=out / "metrics.csv", **asdict(training))
     _write_provenance(out, argv, config.seed, config.to_dict())
     print(f"trained {config.variant} ({result.model.parameter_count} parameters) "
           f"for {result.steps_run} steps")
@@ -176,7 +184,7 @@ def cmd_eval(args, argv: list) -> int:
     for name in export:
         if name not in EXPORT_KINDS:
             raise UsageError(f"unknown --export entry {name!r}; expected {','.join(EXPORT_KINDS)}")
-    if not (np.isfinite(args.threshold) and args.threshold > 0):
+    if not is_positive_real(args.threshold):
         raise UsageError(f"--threshold must be finite and > 0, got {args.threshold}")
     if args.points < 1:
         raise UsageError(f"--points must be >= 1, got {args.points}")
@@ -214,18 +222,18 @@ def cmd_eval(args, argv: list) -> int:
 
 def cmd_bench(args, argv: list) -> int:
     try:
-        lengths = tuple(int(x) for x in args.lengths.split(","))
+        lengths = _int_list(args.lengths)
     except ValueError:
         lengths = (0,)  # not integers: rejected below
-    for flag in ("lengths", "dim", "heads", "trials"):
-        if min(lengths if flag == "lengths" else [getattr(args, flag)]) < 1:
-            raise UsageError(f"--{flag} takes integers >= 1, got {getattr(args, flag)}")
+    for flag, low in (("lengths", 1), ("dim", 1), ("heads", 1), ("trials", 1), ("seed", 0)):
+        if min(lengths if flag == "lengths" else [getattr(args, flag)]) < low:
+            raise UsageError(f"--{flag} takes integers >= {low}, got {getattr(args, flag)}")
+    out = _prepare_out(args.out, args.force) if args.out else None
     results = bench_attention(lengths=lengths, d=args.dim, d_qk=args.dim,
                               heads=args.heads, trials=args.trials,
-                              kernel=args.kernel or "relu", seed=args.seed)
+                              kernel=args.kernel, seed=args.seed)
     print(format_table(results))
-    if args.out:
-        out = _prepare_out(args.out, args.force)
+    if out:
         write_results(results, out / "bench.json")
         _write_provenance(out, argv, args.seed,
                           {"lengths": list(lengths), "dim": args.dim,
@@ -260,28 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model variant on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--variant", choices=VARIANTS, default=None)
-    tr.add_argument("--train-views", type=int, choices=TRAIN_VIEW_CHOICES,
-                    dest="train_views", default=None)
-    tr.add_argument("--kernel", choices=("softmax", "relu"), default=None)
-    tr.add_argument("--latent-dim", type=int, dest="latent_dim", default=None)
-    tr.add_argument("--qk-dim", type=int, dest="qk_dim", default=None)
-    tr.add_argument("--features", type=int, default=None)
-    tr.add_argument("--layers", type=int, default=None)
-    tr.add_argument("--heads", type=int, default=None)
-    tr.add_argument("--channels", default=None, help="comma-separated conv channels")
-    tr.add_argument("--res", type=int, default=None)
-    tr.add_argument("--steps", type=int, default=None,
-                    help=f"optimizer steps (default {TRAIN_DEFAULTS['steps']})")
-    tr.add_argument("--lr", type=float, default=None,
-                    help=f"Adam learning rate (default {TRAIN_DEFAULTS['learning_rate']})")
-    tr.add_argument("--val-every", type=int, dest="val_every", default=None,
-                    help=f"steps between validations (default {TRAIN_DEFAULTS['val_every']})")
+    kinds = {"int": int, "float": float, "str": str, "tuple": _int_list}
+    for f in SETTING_FIELDS:
+        default = ",".join(map(str, f.default)) if f.type == "tuple" else f.default
+        tr.add_argument(SETTING_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                        dest=f.name, type=kinds[f.type], choices=f.metadata.get("choices"),
+                        default=None, help=SETTING_HELP.get(f.name, f"default {default}"))
     tr.add_argument("--config", default=None, help="JSON config file")
     tr.add_argument("--set", action="append", default=[],
                     help="override a config key, e.g. --set latent_dim=64")
-    tr.add_argument("--seed", type=int, default=None,
-                    help="random seed (default $MVP_SEED, else 0)")
     tr.add_argument("--force", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -305,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--dim", type=int, default=256)
     be.add_argument("--heads", type=int, default=8)
     be.add_argument("--trials", type=int, default=200)
-    be.add_argument("--kernel", choices=("softmax", "relu"), default="relu")
+    be.add_argument("--kernel", choices=KERNEL_KINDS, default="relu")
     be.add_argument("--seed", type=int, default=None)
     be.add_argument("--out", default=None)
     be.add_argument("--force", action="store_true")

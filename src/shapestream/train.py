@@ -3,8 +3,8 @@
 Training consumes the first ``train_views`` frames of each sequence (the
 3/6/12-view ablation knob), which fit one forward pass of ``model.MAX_VIEWS``
 (64) frames; validation runs the same forward without gradients over full
-sequences. ``steps``, ``val_every`` and ``learning_rate`` are checked with
-the shared predicates of ``checks``. The best-validation checkpoint is
+sequences. ``steps``, ``learning_rate`` and ``val_every`` are the fields of
+``TrainSettings``, checked by ``checks.check_fields``. The best-validation checkpoint is
 retained. Non-finite losses or gradients skip the step; ten consecutive
 failures abort the run.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .autograd import no_grad
 from .checkpoint import save_checkpoint
-from .checks import is_int, is_positive_real
+from .checks import check_fields, rule
 from .metrics import jaccard_values
 from .model import (
     ModelConfig,
@@ -37,6 +37,14 @@ MAX_CONSECUTIVE_FAILURES = 10
 
 class TrainingDiverged(RuntimeError):
     """Ten consecutive non-finite losses/gradients."""
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    """The training loop's settings; ``train`` takes them as keywords."""
+    steps: int = rule(500, min=0)
+    learning_rate: float = 1e-3
+    val_every: int = rule(100, min=1)
 
 
 @dataclass
@@ -63,8 +71,8 @@ def evaluate_sequences(model: MvpModel, sequences: list) -> tuple[float, float]:
 
 
 def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
-          checkpoint_path, metrics_path=None, learning_rate: float = 1e-3,
-          val_every: int = 100, stop_at_train_jaccard: float | None = None
+          checkpoint_path, metrics_path=None, learning_rate: float = TrainSettings.learning_rate,
+          val_every: int = TrainSettings.val_every, stop_at_train_jaccard: float | None = None
           ) -> TrainResult:
     """Shuffled single-sequence Adam steps on the BCE objective.
 
@@ -72,12 +80,7 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
     VoxelGrid lists. The trained model, metrics rows and the retained
     checkpoint are returned.
     """
-    if not (is_int(steps) and steps >= 0):
-        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-    if not (is_int(val_every) and val_every >= 1):
-        raise ValueError(f"val_every must be an integer >= 1, got {val_every!r}")
-    if not is_positive_real(learning_rate):
-        raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate!r}")
+    check_fields(TrainSettings(steps, learning_rate, val_every), "training", ValueError)
     model = build_model(config)
     train_data = [(f[: config.train_views], t[: config.train_views]) for f, t in train_data]
     state = AdamState(learning_rate=learning_rate)

@@ -6,17 +6,22 @@ import json
 import struct
 import tempfile
 import zlib
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shapestream import cli as cli_module
 from shapestream import model as model_module
 from shapestream.checkpoint import load_model
-from shapestream.cli import main
+from shapestream.cli import _assemble_model_config, build_parser, main
+from shapestream.model import ModelConfig
 from shapestream.scenes import DatasetError, build_manifest, read_manifest
+from shapestream.train import TrainSettings
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -276,18 +281,62 @@ def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags,field", [
-    (["--steps", "1", "--val-every", "0"], "val_every"),
-    (["--set", "steps=2.7"], "steps"),
-    (["--steps", "1", "--lr", "-1"], "learning_rate"),
-    (["--steps", "1", "--lr", "inf"], "learning_rate"),
-], ids=["val_every_zero", "fractional_steps", "negative_lr", "infinite_lr"])
-def test_train_invalid_training_setting_exits_2(tmp_path, capsys, flags, field):
+@pytest.mark.parametrize("flags,config,field", [
+    (["--steps", "1", "--val-every", "0"], None, "val_every"),
+    (["--set", "steps=2.7"], None, "steps"),
+    (["--steps", "1", "--lr", "-1"], None, "learning_rate"),
+    (["--steps", "1", "--lr", "inf"], None, "learning_rate"),
+    (["--steps", "1"], {"val_every": 0}, "val_every"),
+    (["--steps", "1"], {"learning_rate": -1}, "learning_rate"),
+], ids=["val_every_zero", "fractional_steps", "negative_lr", "infinite_lr",
+        "config_val_every_zero", "config_negative_lr"])
+def test_train_invalid_training_setting_exits_2(tmp_path, capsys, flags, config, field):
+    """Flags, --set and --config are all checked before --out is created."""
     data = gen(tmp_path)
-    code = main(["train", "--data", data, "--out", str(tmp_path / "run"),
-                 "--variant", "mvp", *TINY_TRAIN, *flags])
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+    out = tmp_path / "run"
+    code = main(["train", "--data", data, "--out", str(out), "--variant", "mvp",
+                 *TINY_TRAIN, *flags])
     assert code == 2
-    assert f"{field} must be" in capsys.readouterr().err
+    assert f"training {field} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# every train setting flag, with a valid value that is not its field's default
+SETTING_FLAGS = {
+    "variant": ("--variant", "mvt"), "resolution": ("--res", 8),
+    "latent_dim": ("--latent-dim", 16), "qk_dim": ("--qk-dim", 8),
+    "feature_count": ("--features", 8), "kernel": ("--kernel", "softmax"),
+    "performer_layers": ("--layers", 1), "attention_heads": ("--heads", 2),
+    "conv_channels": ("--channels", (2, 4)), "train_views": ("--train-views", 3),
+    "seed": ("--seed", 5), "steps": ("--steps", 7), "learning_rate": ("--lr", 0.005),
+    "val_every": ("--val-every", 3),
+}
+
+
+def test_each_train_setting_flag_sets_its_field():
+    setting_fields = fields(ModelConfig) + fields(TrainSettings)
+    assert set(SETTING_FLAGS) == {f.name for f in setting_fields}
+    argv = ["train", "--data", "d", "--out", "o"]
+    for f in setting_fields:
+        flag, value = SETTING_FLAGS[f.name]
+        assert value != f.default, f.name
+        argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
+    config, training = _assemble_model_config(build_parser().parse_args(argv),
+                                              SimpleNamespace(resolution=8))
+    for f in setting_fields:
+        owner = training if f in fields(TrainSettings) else config
+        assert getattr(owner, f.name) == SETTING_FLAGS[f.name][1], f.name
+
+
+def test_train_setting_flags_keep_their_choices():
+    train_parser = build_parser()._subparsers._group_actions[0].choices["train"]
+    choices = {a.dest: a.choices for a in train_parser._actions}
+    assert choices["variant"] == ("mvp", "mvt", "lstm", "single_view")
+    assert choices["kernel"] == ("softmax", "relu")
+    assert choices["train_views"] == (3, 6, 12)
 
 
 def test_eval_unknown_export_exits_2(tmp_path, capsys):
@@ -489,6 +538,18 @@ def test_mvp_seed_read_at_each_parse_in_one_process(tmp_path, monkeypatch):
             assert json.loads((out / "provenance.json").read_text())["seed"] == int(seed)
 
 
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_non_integer_mvp_seed_exits_2_naming_it(tmp_path, capsys, monkeypatch, command):
+    data = gen(tmp_path)
+    monkeypatch.setenv("MVP_SEED", "abc")
+    argv = {"gen-data": ["gen-data", "--protocol", "camera_pan", "--objects", "4"],
+            "train": ["train", "--data", data, "--steps", "1"]}[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "MVP_SEED must be an integer >= 0, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mvp_seed_env_var_used_as_default(tmp_path, monkeypatch):
     monkeypatch.setenv("MVP_SEED", "77")
     out = str(tmp_path / "envseed")
@@ -535,13 +596,27 @@ def test_bench_command_prints_table(tmp_path, capsys):
     assert (tmp_path / "b" / "bench.json").exists()
 
 
-@pytest.mark.parametrize("flags", [["--lengths", "0,4"], ["--lengths", "x,4"], ["--trials", "0"],
-                                   ["--dim", "0"], ["--heads", "0"]],
+@pytest.mark.parametrize("flags,low", [(["--lengths", "0,4"], 1), (["--lengths", "x,4"], 1),
+                                       (["--trials", "0"], 1), (["--dim", "0"], 1),
+                                       (["--heads", "0"], 1), (["--seed", "-1"], 0)],
                          ids=["lengths_zero", "lengths_text", "trials_zero", "dim_zero",
-                              "heads_zero"])
-def test_bench_invalid_size_exits_2_naming_the_flag(tmp_path, capsys, flags):
+                              "heads_zero", "seed_negative"])
+def test_bench_invalid_size_exits_2_naming_the_flag(tmp_path, capsys, flags, low):
     code = main(["bench", "--lengths", "8", "--dim", "8", "--heads", "1", "--trials", "2",
                  *flags, "--out", str(tmp_path / "b")])
     assert code == 2
-    assert f"{flags[0]} takes integers >= 1" in capsys.readouterr().err
+    assert f"{flags[0]} takes integers >= {low}" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+def test_bench_nonempty_out_exits_2_before_timing(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "b"
+    out.mkdir()
+    (out / "bench.json").write_text("{}")
+    calls = []
+    monkeypatch.setattr(cli_module, "bench_attention", lambda **kw: calls.append(kw))
+    code = main(["bench", "--lengths", "8", "--dim", "8", "--heads", "1", "--trials", "2",
+                 "--out", str(out)])
+    assert code == 2
+    assert "is not empty" in capsys.readouterr().err
+    assert calls == []

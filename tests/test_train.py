@@ -35,6 +35,20 @@ def test_zero_steps_checkpoint_equals_initialization(tmp_path):
         np.testing.assert_array_equal(arr, init.params[name].data.astype(np.float32))
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"steps": -1}, "training steps must be >= 0"),
+    ({"steps": 2.5}, "training steps must be an integer"),
+    ({"val_every": 0}, "training val_every must be >= 1"),
+    ({"learning_rate": float("nan")}, "training learning_rate must be a finite number > 0"),
+], ids=["negative_steps", "fractional_steps", "val_every_zero", "nan_lr"])
+def test_invalid_training_setting_raises_before_writing(tmp_path, settings, message):
+    path = tmp_path / "ck.mvpc"
+    with pytest.raises(ValueError, match=message):
+        train(tiny_config(), toy_dataset(), [], checkpoint_path=path,
+              **{"steps": 1, **settings})
+    assert not path.exists()
+
+
 def test_same_seed_identical_metrics_log(tmp_path):
     config = tiny_config()
     data = toy_dataset()
