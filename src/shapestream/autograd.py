@@ -18,6 +18,7 @@ from itertools import product
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -284,6 +285,18 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # transposed-conv kernels [C, F, k, k, k]. One shared trio of numpy helpers
 # implements forward/grad-input/grad-weight; the transposed variant is the
 # adjoint pairing of the same three maps.
+#
+# _im2col copies one strided window view [N, C, k, k, k, Do, Ho, Wo] of the
+# zero-padded input into the columns. _col2im, its adjoint, writes each kernel
+# offset as a = s*q + p with phase p < s (s the stride): offset a of output
+# position i lands on padded position s*(i + q) + p. One shifted add per
+# (qa, qb, qc), of the column block of offsets s*q .. s*q + s - 1 (fewer at
+# the kernel's edge), therefore covers every phase at once: ceil(k/s)^3 adds
+# into the padded buffer seen as [N, C, s, s, s, D'/s, H'/s, W'/s], a view
+# (D' the padded extent rounded up to a multiple of s, so D'/s is at least
+# Do + ceil(k/s) - 1). Two phases never share a voxel, and within a phase the
+# adds run in increasing offset order, so every voxel sums its terms from 0.0
+# in the same order as a per-offset scatter: the result is the same bit for bit.
 
 
 def conv3d_output_shape(spatial: tuple, k: int, stride: int, padding: int) -> tuple:
@@ -297,35 +310,30 @@ def conv_transpose3d_output_shape(spatial: tuple, k: int, stride: int, padding: 
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int) -> tuple[np.ndarray, tuple]:
     """x [N,C,D,H,W] -> columns [N, C*k^3, P] with P output positions."""
     n, c, d, h, w = x.shape
-    do, ho, wo = conv3d_output_shape((d, h, w), k, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2, (padding,) * 2))
-    cols = np.empty((n, c, k, k, k, do, ho, wo), dtype=x.dtype)
-    for a, b, cc in product(range(k), range(k), range(k)):
-        cols[:, :, a, b, cc] = xp[
-            :, :,
-            a : a + do * stride : stride,
-            b : b + ho * stride : stride,
-            cc : cc + wo * stride : stride,
-        ]
-    return cols.reshape(n, c * k**3, do * ho * wo), (do, ho, wo)
+    out = conv3d_output_shape((d, h, w), k, stride, padding)
+    xp = np.zeros((n, c, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+    xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w] = x
+    sn, sc, *ss = xp.strides
+    windows = as_strided(xp, (n, c, k, k, k) + out,
+                         (sn, sc, *ss, *(st * stride for st in ss)), writeable=False)
+    return windows.reshape(n, c * k**3, -1), out
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int, padding: int) -> np.ndarray:
     """Adjoint of _im2col: scatter-add columns back onto the input layout."""
     n, c, d, h, w = x_shape
-    do, ho, wo = conv3d_output_shape((d, h, w), k, stride, padding)
+    s = stride
+    do, ho, wo = conv3d_output_shape((d, h, w), k, s, padding)
     cols = cols.reshape(n, c, k, k, k, do, ho, wo)
-    xp = np.zeros((n, c, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    for a, b, cc in product(range(k), range(k), range(k)):
-        xp[
-            :, :,
-            a : a + do * stride : stride,
-            b : b + ho * stride : stride,
-            cc : cc + wo * stride : stride,
-        ] += cols[:, :, a, b, cc]
-    if padding:
-        xp = xp[:, :, padding:-padding, padding:-padding, padding:-padding]
-    return xp
+    folded = [-(-(e + 2 * padding) // s) for e in (d, h, w)]
+    xp = np.zeros((n, c, *(s * f for f in folded)), dtype=cols.dtype)
+    phases = xp.reshape(n, c, folded[0], s, folded[1], s, folded[2], s)
+    phases = phases.transpose(0, 1, 3, 5, 7, 2, 4, 6)
+    for qa, qb, qc in product(range(-(-k // s)), repeat=3):
+        block = cols[:, :, s * qa:s * qa + s, s * qb:s * qb + s, s * qc:s * qc + s]
+        la, lb, lc = block.shape[2:5]
+        phases[:, :, :la, :lb, :lc, qa:qa + do, qb:qb + ho, qc:qc + wo] += block
+    return xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w]
 
 
 def _conv3d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
@@ -353,17 +361,30 @@ def _conv3d_grad_weight(x: np.ndarray, gy: np.ndarray, stride: int, padding: int
     return gw.reshape(w_shape)
 
 
-def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x [N,C,D,H,W] with kernels [F,C,k,k,k]."""
+def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int,
+                in_axis: int):
+    """Reject malformed conv arguments before any numpy op sees them."""
     if x.ndim != 5 or kernels.ndim != 5:
-        raise ValueError(f"conv3d expects 5-D input/kernels, got {x.shape}, {kernels.shape}")
+        raise ValueError(f"{name} expects 5-D input/kernels, got {x.shape}, {kernels.shape}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.shape[1] != kernels.shape[1]:
+    if padding < 0:
+        raise ValueError(f"padding must be >= 0, got {padding} "
+                         f"(input shape {x.shape}, kernel shape {kernels.shape})")
+    if not kernels.shape[2] == kernels.shape[3] == kernels.shape[4]:
+        raise ValueError(f"{name} needs a cubic kernel, got kernel shape {kernels.shape} "
+                         f"(input shape {x.shape})")
+    if x.shape[1] != kernels.shape[in_axis]:
         raise ValueError(
             f"input channels {x.shape[1]} (input shape {x.shape}) do not match "
-            f"kernel channels {kernels.shape[1]} (kernel shape {kernels.shape})"
+            f"kernel input channels {kernels.shape[in_axis]} (axis {in_axis} of kernel shape "
+            f"{kernels.shape})"
         )
+
+
+def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of x [N,C,D,H,W] with kernels [F,C,k,k,k]."""
+    _check_conv("conv3d", x, kernels, stride, padding, in_axis=1)
     k = kernels.shape[2]
     if any(k > s + 2 * padding for s in x.shape[2:]):
         raise ValueError(f"kernel size {k} exceeds padded input extent {x.shape[2:]}")
@@ -379,15 +400,7 @@ def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Transposed conv of x [N,C,D,H,W] with kernels [C,F,k,k,k]; inverts the
     conv3d shape map for the same (k, stride, padding)."""
-    if x.ndim != 5 or kernels.ndim != 5:
-        raise ValueError(f"conv_transpose3d expects 5-D input/kernels, got {x.shape}, {kernels.shape}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    if x.shape[1] != kernels.shape[0]:
-        raise ValueError(
-            f"input channels {x.shape[1]} (input shape {x.shape}) do not match "
-            f"kernel input-channel axis {kernels.shape[0]} (kernel shape {kernels.shape})"
-        )
+    _check_conv("conv_transpose3d", x, kernels, stride, padding, in_axis=0)
     k = kernels.shape[2]
     spatial_out = conv_transpose3d_output_shape(x.shape[2:], k, stride, padding)
     if any(s < 1 for s in spatial_out):

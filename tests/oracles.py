@@ -5,6 +5,8 @@ finite differences) and stays independent of the library code paths it
 checks.
 """
 
+from itertools import product
+
 import numpy as np
 
 from shapestream.marching import _DEGENERATE_AREA, Mesh
@@ -41,6 +43,32 @@ def conv3d_naive(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.
                                         )
                         out[ni, fi, zi, yi, xi] = acc
     return out
+
+
+def im2col_naive(x: np.ndarray, k: int, stride: int, padding: int) -> np.ndarray:
+    """x [N,C,D,H,W] -> columns [N, C*k^3, P], one strided slice per kernel offset."""
+    n, c, d, h, w = x.shape
+    do, ho, wo = ((e + 2 * padding - k) // stride + 1 for e in (d, h, w))
+    xp = np.pad(x, ((0, 0), (0, 0), (padding,) * 2, (padding,) * 2, (padding,) * 2))
+    cols = np.empty((n, c, k, k, k, do, ho, wo), dtype=x.dtype)
+    for a, b, cc in product(range(k), repeat=3):
+        cols[:, :, a, b, cc] = xp[:, :, a:a + do * stride:stride,
+                                  b:b + ho * stride:stride, cc:cc + wo * stride:stride]
+    return cols.reshape(n, c * k**3, do * ho * wo)
+
+
+def col2im_naive(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
+                 padding: int) -> np.ndarray:
+    """Adjoint of im2col_naive: one strided scatter-add per kernel offset, in
+    increasing offset order."""
+    n, c, d, h, w = x_shape
+    do, ho, wo = ((e + 2 * padding - k) // stride + 1 for e in (d, h, w))
+    cols = cols.reshape(n, c, k, k, k, do, ho, wo)
+    xp = np.zeros((n, c, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for a, b, cc in product(range(k), repeat=3):
+        xp[:, :, a:a + do * stride:stride, b:b + ho * stride:stride,
+           cc:cc + wo * stride:stride] += cols[:, :, a, b, cc]
+    return xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w]
 
 
 def finite_diff(f, arrays: dict, h: float = 1e-5) -> dict:

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import conv3d_naive, finite_diff, max_rel_error
+from oracles import col2im_naive, conv3d_naive, finite_diff, im2col_naive, max_rel_error
 from shapestream.autograd import (
+    _col2im,
+    _im2col,
     Tensor,
     concat,
     conv3d,
@@ -55,6 +59,28 @@ def test_conv3d_channel_mismatch_names_both_shapes():
     assert "(1, 2, 4, 4, 4)" in str(err.value) and "(3, 5, 2, 2, 2)" in str(err.value)
 
 
+@pytest.mark.parametrize("conv, kernel_shape", [
+    (conv3d, (3, 2, 2, 2, 2)),
+    (conv_transpose3d, (2, 3, 2, 2, 2)),
+])
+def test_conv_negative_padding_rejected(conv, kernel_shape):
+    x = Tensor(np.zeros((1, 2, 8, 8, 8)))
+    with pytest.raises(ValueError, match="padding must be >= 0") as err:
+        conv(x, Tensor(np.zeros(kernel_shape)), stride=2, padding=-1)
+    assert "(1, 2, 8, 8, 8)" in str(err.value) and str(kernel_shape) in str(err.value)
+
+
+@pytest.mark.parametrize("conv, kernel_shape", [
+    (conv3d, (3, 2, 2, 3, 2)),
+    (conv_transpose3d, (2, 3, 3, 3, 2)),
+])
+def test_conv_non_cubic_kernel_rejected(conv, kernel_shape):
+    x = Tensor(np.zeros((1, 2, 6, 6, 6)))
+    with pytest.raises(ValueError, match="cubic kernel") as err:
+        conv(x, Tensor(np.zeros(kernel_shape)))
+    assert "(1, 2, 6, 6, 6)" in str(err.value) and str(kernel_shape) in str(err.value)
+
+
 def test_conv3d_output_shape_formula():
     assert conv3d_output_shape((16, 16, 16), k=3, stride=2, padding=1) == (8, 8, 8)
     assert conv_transpose3d_output_shape((8, 8, 8), k=4, stride=2, padding=1) == (16, 16, 16)
@@ -69,6 +95,30 @@ def test_conv_then_transpose_restores_spatial_shape():
         y = conv3d(x, w, stride=stride, padding=padding)
         z = conv_transpose3d(y, wt, stride=stride, padding=padding)
         assert z.shape[2:] == x.shape[2:], (k, stride, padding, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3), c=st.integers(1, 3),
+       spatial=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+       k=st.integers(1, 5), stride=st.integers(1, 3), padding=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_im2col_col2im_equal_per_offset_loops(n, c, spatial, k, stride, padding, seed):
+    """The window-view im2col and the phase-folded col2im reproduce the
+    per-offset loops bit for bit, and stay each other's adjoint."""
+    out = conv3d_output_shape(spatial, k, stride, padding)
+    if min(out) < 1:
+        return
+    rng = RNG(seed)
+    x = rng.standard_normal((n, c) + spatial)
+    cols, got_out = _im2col(x, k, stride, padding)
+    assert got_out == out
+    assert np.array_equal(cols, im2col_naive(x, k, stride, padding))
+    y = rng.standard_normal(cols.shape)
+    back = _col2im(y, x.shape, k, stride, padding)
+    assert back.shape == x.shape
+    assert np.array_equal(back, col2im_naive(y, x.shape, k, stride, padding))
+    lhs, rhs = np.vdot(cols, y), np.vdot(x, back)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
 # ---------------------------------------------------------------------------
