@@ -284,7 +284,13 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # Layouts: input [N, C, D, H, W]; conv kernels [F, C, k, k, k];
 # transposed-conv kernels [C, F, k, k, k]. One shared trio of numpy helpers
 # implements forward/grad-input/grad-weight; the transposed variant is the
-# adjoint pairing of the same three maps.
+# adjoint pairing of the same three maps. Each contraction is one np.matmul
+# batched over N: w2 @ cols, w2.T @ gy, and gy @ cols^T summed over N, with w2
+# the kernels as [F, C*k^3]. conv_transpose3d builds the im2col of its output
+# gradient once, in whichever of its two VJPs runs first; the columns are freed
+# with the node's record. These sums are not bit-identical to the planned
+# tensor contractions they replaced (~1e-15 relative per grad-weight call);
+# streamed (N=1) predictions are.
 #
 # _im2col copies one strided window view [N, C, k, k, k, Do, Ho, Wo] of the
 # zero-padded input into the columns. _col2im, its adjoint, writes each kernel
@@ -336,29 +342,22 @@ def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int, padding: int)
     return xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w]
 
 
-def _conv3d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
-    nf, c, k = w.shape[0], w.shape[1], w.shape[2]
-    cols, (do, ho, wo) = _im2col(x, k, stride, padding)
-    y = np.einsum("fk,nkp->nfp", w.reshape(nf, c * k**3), cols, optimize=True)
-    return y.reshape(x.shape[0], nf, do, ho, wo)
+def _conv3d_forward(w: np.ndarray, cols: np.ndarray, out: tuple) -> np.ndarray:
+    """Kernels [F,C,k,k,k] and input columns [N, C*k^3, P] -> output [N, F, *out]."""
+    y = w.reshape(w.shape[0], -1) @ cols
+    return y.reshape(cols.shape[0], w.shape[0], *out)
 
 
 def _conv3d_grad_input(gy: np.ndarray, w: np.ndarray, stride: int, padding: int,
                        x_shape: tuple) -> np.ndarray:
-    nf, c, k = w.shape[0], w.shape[1], w.shape[2]
-    n = gy.shape[0]
-    gyf = gy.reshape(n, nf, -1)
-    gcols = np.einsum("nfp,fk->nkp", gyf, w.reshape(nf, c * k**3), optimize=True)
+    nf, k = w.shape[0], w.shape[2]
+    gcols = w.reshape(nf, -1).T @ gy.reshape(gy.shape[0], nf, -1)
     return _col2im(gcols, x_shape, k, stride, padding)
 
 
-def _conv3d_grad_weight(x: np.ndarray, gy: np.ndarray, stride: int, padding: int,
-                        w_shape: tuple) -> np.ndarray:
-    nf, c, k = w_shape[0], w_shape[1], w_shape[2]
-    cols, _ = _im2col(x, k, stride, padding)
-    gyf = gy.reshape(gy.shape[0], nf, -1)
-    gw = np.einsum("nfp,nkp->fk", gyf, cols, optimize=True)
-    return gw.reshape(w_shape)
+def _conv3d_grad_weight(cols: np.ndarray, gy: np.ndarray, w_shape: tuple) -> np.ndarray:
+    gyf = gy.reshape(gy.shape[0], w_shape[0], -1)
+    return (gyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
 
 
 def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int,
@@ -391,9 +390,10 @@ def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
 
     x_shape, w_shape = x.shape, kernels.shape
     return _child(
-        _conv3d_forward(x.data, kernels.data, stride, padding),
+        _conv3d_forward(kernels.data, *_im2col(x.data, k, stride, padding)),
         (x, lambda g: _conv3d_grad_input(g, kernels.data, stride, padding, x_shape)),
-        (kernels, lambda g: _conv3d_grad_weight(x.data, g, stride, padding, w_shape)),
+        (kernels, lambda g: _conv3d_grad_weight(_im2col(x.data, k, stride, padding)[0], g,
+                                                w_shape)),
     )
 
 
@@ -408,9 +408,16 @@ def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     out_shape = (x.shape[0], kernels.shape[1]) + spatial_out
 
     w_shape = kernels.shape
+    g_cols = []  # im2col of the output gradient, built by whichever VJP runs first
+
+    def cols_of(g):
+        if not g_cols:
+            g_cols.append(_im2col(g, k, stride, padding))
+        return g_cols[0]
+
     # forward of the transpose == grad-input of the matching conv
     return _child(
         _conv3d_grad_input(x.data, kernels.data, stride, padding, out_shape),
-        (x, lambda g: _conv3d_forward(g, kernels.data, stride, padding)),
-        (kernels, lambda g: _conv3d_grad_weight(g, x.data, stride, padding, w_shape)),
+        (x, lambda g: _conv3d_forward(kernels.data, *cols_of(g))),
+        (kernels, lambda g: _conv3d_grad_weight(cols_of(g)[0], x.data, w_shape)),
     )

@@ -13,13 +13,13 @@ import numpy as np
 from oracles import fscore_naive, jaccard_naive
 from shapestream.attention import (
     AssociativeMemory,
-    causal_linear_attention,
-    exact_causal_attention,
+    causal_linear_attention_t,
+    exact_causal_attention_t,
     feature_map,
     feature_map_apply,
-    memory_query,
     memory_update,
 )
+from shapestream.autograd import Tensor
 from shapestream.bench import bench_attention
 from shapestream.marching import euler_characteristic, is_closed_manifold, \
     marching_cubes, mesh_volume
@@ -43,6 +43,9 @@ def _report(num: int, description: str, ok: bool, detail: str, elapsed: float,
 
 
 def test_01_stream_batch_memory_equivalence():
+    """The model's chunkwise attention over a whole sequence equals the same
+    function streamed row by row through one running memory, as forward_step
+    runs it."""
     t0 = time.time()
     rng = RNG(1)
     worst = 0.0
@@ -52,30 +55,37 @@ def test_01_stream_batch_memory_equivalence():
         d = int(rng.integers(1, 33))
         fmap = (feature_map("relu", d_qk=d) if kind == "relu"
                 else feature_map("softmax", d_qk=d, m=2 * d, seed=trial))
-        Q, K = rng.standard_normal((2, L, d))
-        V = rng.standard_normal((L, d))
-        batch = causal_linear_attention(Q, K, V, fmap)
+        Q, K = (Tensor(a) for a in rng.standard_normal((2, L, d)))
+        V = Tensor(rng.standard_normal((L, d)))
+        batch = causal_linear_attention_t(Q, K, V, fmap, AssociativeMemory.fresh(fmap, d=d)).data
         mem = AssociativeMemory.fresh(fmap, d=d)
         for i in range(L):
-            memory_update(mem, K[i], V[i])
-            row = memory_query(mem, Q[i], fallback=V[i])
+            row = causal_linear_attention_t(Q.narrow(0, i, 1), K.narrow(0, i, 1),
+                                            V.narrow(0, i, 1), fmap, mem).data[0]
             worst = max(worst, float(np.max(np.abs(row - batch[i]))))
     _report(1, "stream/batch memory equivalence (both kernels, 100 sequences)",
             worst < 1e-10, f"max abs err {worst:.2e} < 1e-10", time.time() - t0, 10)
 
 
 def test_02_relu_kernel_exactness():
+    """The model's linear attention (mvp), run in two chunks so that the
+    second reads the first through the memory, equals its quadratic form
+    (mvt) under the relu kernel."""
     t0 = time.time()
     rng = RNG(2)
     worst = 0.0
     for trial in range(100):
         L = int(rng.integers(1, 65))
         d = int(rng.integers(1, 33))
+        split = int(rng.integers(1, L + 1))
         fmap = feature_map("relu", d_qk=d)
-        Q, K = rng.standard_normal((2, L, d))
-        V = rng.standard_normal((L, d))
-        linear = causal_linear_attention(Q, K, V, fmap)
-        exact = exact_causal_attention(Q, K, V, kernel="relu")
+        Q, K = (Tensor(a) for a in rng.standard_normal((2, L, d)))
+        V = Tensor(rng.standard_normal((L, d)))
+        mem = AssociativeMemory.fresh(fmap, d=d)
+        linear = np.concatenate([
+            causal_linear_attention_t(*(t.narrow(0, a, b - a) for t in (Q, K, V)), fmap, mem).data
+            for a, b in ((0, split), (split, L)) if b > a])
+        exact = exact_causal_attention_t(Q, K, V, kernel="relu").data
         worst = max(worst, float(np.max(np.abs(linear - exact))))
     _report(2, "relu-kernel linear attention equals the quadratic form",
             worst < 1e-10, f"max abs err {worst:.2e} < 1e-10", time.time() - t0, 10)

@@ -41,14 +41,23 @@ def test_conv3d_identity_kernel():
     np.testing.assert_array_equal(y.data, x.data)
 
 
-def test_conv3d_matches_naive_loop_oracle():
+@pytest.mark.parametrize("n", [1, 3])
+def test_conv3d_matches_naive_loop_oracle(n):
     rng = RNG(7)
-    x = rng.standard_normal((1, 2, 4, 4, 4))
+    x = rng.standard_normal((n, 2, 4, 4, 4))
     w = rng.standard_normal((3, 2, 2, 2, 2))
-    got = conv3d(Tensor(x), Tensor(w), stride=2, padding=1).data
+    kernels = Tensor(w, requires_grad=True)
+    y = conv3d(Tensor(x), kernels, stride=2, padding=1)
     want = conv3d_naive(x, w, stride=2, padding=1)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert y.shape == want.shape
+    assert np.max(np.abs(y.data - want)) <= 1e-12
+    # the conv is linear in w, so the gradient of <conv(x, w), g> in w[i] is
+    # <conv(x, e_i), g>, summed over every frame of the batch
+    g = rng.standard_normal(want.shape)
+    (y * g).sum().backward()
+    basis = np.eye(w.size).reshape(w.size, *w.shape)
+    want_grad = np.array([np.sum(conv3d_naive(x, e, stride=2, padding=1) * g) for e in basis])
+    assert np.max(np.abs(kernels.grad - want_grad.reshape(w.shape))) <= 1e-12
 
 
 def test_conv3d_channel_mismatch_names_both_shapes():
@@ -267,6 +276,31 @@ def test_grad_conv_transpose3d():
         lambda t: conv_transpose3d(t["x"], t["w"], stride=2, padding=1).tanh().mean(),
         arrays,
     )
+
+
+@pytest.mark.parametrize("conv, x_shape, w_shape", [
+    (conv3d, (2, 2, 5, 5, 5), (3, 2, 3, 3, 3)),
+    (conv_transpose3d, (2, 3, 3, 3, 3), (3, 2, 4, 4, 4)),
+])
+@pytest.mark.parametrize("only", ["x", "kernels"])
+def test_conv_single_vjp_matches_both_vjps_bitwise(conv, x_shape, w_shape, only):
+    """Either VJP may run alone (a frozen kernel, an input that needs no grad);
+    its gradient is the same bit for bit as when both run, which in
+    conv_transpose3d share the output gradient's columns."""
+    rng = RNG(23)
+    arrays = {"x": rng.standard_normal(x_shape), "kernels": rng.standard_normal(w_shape)}
+
+    def grads(needs_grad):
+        t = {k: Tensor(v, requires_grad=k in needs_grad) for k, v in arrays.items()}
+        loss = conv(t["x"], t["kernels"], stride=2, padding=1).tanh().sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="twice"):
+            loss.backward()
+        return {k: v.grad for k, v in t.items()}
+
+    alone, both = grads({only}), grads({"x", "kernels"})
+    assert all(alone[k] is None for k in arrays if k != only)
+    assert np.array_equal(alone[only], both[only])
 
 
 # ---------------------------------------------------------------------------
