@@ -19,6 +19,11 @@ Protocols:
     reveal visibility masks exactly.
   * slide_behind - fixed camera; a mover translates behind a static occluder
     with randomized start and standoff; targets contain both objects.
+
+What does not move is computed once per sequence: each camera pose's world
+voxel centers and ray directions, and each (object, pose) pair's occupancy
+mask and ray entries. A target ORs its objects' masks; a depth view takes the
+minimum of their entries, so slide_behind computes its occluder only once.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ SPLITS = ("train", "val", "test")
 @dataclass
 class CameraPose:
     """Camera-to-world rigid transform; columns of rotation are the camera
-    x/y/z axes expressed in world coordinates."""
+    x/y/z axes expressed in world coordinates. ``memo`` is a dict only while
+    ``make_sequence`` renders from the pose (see ``_kept``)."""
 
     rotation: np.ndarray
     position: np.ndarray
+    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -85,12 +92,40 @@ def look_at(position, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
     return CameraPose(np.stack([right, down, forward], axis=1), position)
 
 
-def _inside(objects: list[SolidObject], points: np.ndarray) -> np.ndarray:
-    """Scene occupancy: True where any object contains the world point."""
-    mask = np.zeros(len(points), dtype=bool)
-    for obj in objects:
-        mask |= obj.contains(points)
-    return mask
+def _kept(pose: CameraPose, key, make):
+    """``make()``, computed once per ``key`` while ``pose.memo`` is a dict. A key
+    holds the ``id`` of each object it depends on; while the memo lives,
+    ``make_sequence`` keeps those objects alive and uses one grid and image size."""
+    if pose.memo is None:
+        return make()
+    if key not in pose.memo:
+        pose.memo[key] = make()
+    return pose.memo[key]
+
+
+def _ray_dirs(pose: CameraPose, image_size: int) -> np.ndarray:
+    """World-frame unit direction of each pixel's ray, row by row."""
+    w = image_size
+    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
+    px = (np.arange(w) + 0.5 - w / 2.0) / focal
+    u, v = np.meshgrid(px, px, indexing="xy")
+    dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return dirs @ pose.rotation.T
+
+
+def _entries(obj: SolidObject, pose: CameraPose, dirs_world: np.ndarray) -> np.ndarray:
+    """Each ray's ``SolidObject.ray_entry`` into ``obj`` (inf where it misses),
+    intersecting only the rays whose line meets the object's bounding sphere."""
+    if obj.contains(pose.position[None, :])[0]:
+        raise ValueError("camera position lies inside an object")
+    # the 1e-6 pad absorbs rounding: no ray that meets the object is culled
+    center = obj.translation - pose.position
+    radius = obj.bounding_radius() * (1.0 + 1e-6)
+    idx = np.flatnonzero((dirs_world @ center) ** 2 >= center @ center - radius ** 2)
+    t = np.full(len(dirs_world), np.inf)
+    t[idx] = obj.ray_entry(pose.position, dirs_world[idx], RAY_NEAR)
+    return t
 
 
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
@@ -102,27 +137,14 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     object at or past ``RAY_NEAR`` (``RAY_NEAR`` itself if it is inside an
     object there) if that entry is below ``RAY_FAR``. Back faces and self-occluded regions never
     appear. No intersection -> empty cloud. An object is intersected only
-    with the rays whose line meets its bounding sphere.
+    with the rays whose line meets its bounding sphere. The ray directions
+    and each object's entries are kept in ``pose.memo`` when it is a dict.
     """
-    if _inside(objects, pose.position[None, :])[0]:
-        raise ValueError("camera position lies inside an object")
-    w = image_size
-    focal = (w / 2.0) / np.tan(np.radians(FOV_DEG) / 2.0)
-    px = (np.arange(w) + 0.5 - w / 2.0) / focal
-    u, v = np.meshgrid(px, px, indexing="xy")
-    dirs = np.stack([u, v, np.ones_like(u)], axis=-1).reshape(-1, 3)
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    dirs_world = dirs @ pose.rotation.T
-
+    dirs_world = _kept(pose, "rays", lambda: _ray_dirs(pose, image_size))
     hit_t = np.full(len(dirs_world), np.inf)
     for obj in objects:
-        # the 1e-6 pad absorbs rounding: no ray that meets the object is culled
-        center = obj.translation - pose.position
-        radius = obj.bounding_radius() * (1.0 + 1e-6)
-        closest = dirs_world @ center
-        idx = np.flatnonzero(closest ** 2 >= center @ center - radius ** 2)
-        hit_t[idx] = np.minimum(hit_t[idx], obj.ray_entry(pose.position, dirs_world[idx],
-                                                          RAY_NEAR))
+        entries = _kept(pose, ("entries", id(obj)), lambda: _entries(obj, pose, dirs_world))
+        hit_t = np.minimum(hit_t, entries)
     hit = hit_t < RAY_FAR
     if not hit.any():
         return PointCloud.empty()
@@ -150,9 +172,14 @@ def _grid_origin(pose: CameraPose, centroid_world: np.ndarray, extent: float) ->
 
 def _target_grid(objects: list[SolidObject], pose: CameraPose, centroid: np.ndarray,
                  resolution: int, extent: float) -> VoxelGrid:
+    """Scene occupancy: a voxel is occupied where any object contains its
+    center. The world centers and each object's mask are kept in ``pose.memo``."""
     grid = VoxelGrid.zeros(resolution, _grid_origin(pose, centroid, extent),
                            extent / resolution)
-    occ = _inside(objects, pose.camera_to_world(grid.voxel_centers()))
+    centers = _kept(pose, "centers", lambda: pose.camera_to_world(grid.voxel_centers()))
+    occ = np.zeros(len(centers), dtype=bool)
+    for obj in objects:
+        occ |= _kept(pose, ("mask", id(obj)), lambda: obj.contains(centers))
     r = resolution
     grid.values[:] = occ.reshape(r, r, r).transpose(2, 1, 0)  # centers are x-fastest
     return grid
@@ -190,25 +217,12 @@ def _curtain_cutoffs(resolution: int, origin_x: float, voxel_size: float,
     return cutoffs
 
 
-def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: int,
-                  resolution: int = 16, extent: float = DEFAULT_EXTENT,
-                  image_size: int = DEFAULT_IMAGE_SIZE) -> ViewSequence:
-    """Generate one sequence; deterministic in (protocol, objects, seed).
-
-    Each protocol states a per-frame schedule of (scene, camera pose, curtain
-    plane on camera x, -inf for none). One loop then builds each frame's
-    target, depth view and curtain-filtered input, reusing the previous
-    frame's target and view when scene and pose are the same objects."""
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
-    if length < 1:
-        raise ValueError(f"sequence length must be >= 1, got {length}")
-    if protocol in TWO_OBJECT_PROTOCOLS and len(objects) < 2:
-        raise ValueError(f"{protocol} needs 2 objects, got {len(objects)}")
+def _schedule(protocol: str, objects: list[SolidObject], length: int, seed: int,
+              centroid: np.ndarray, resolution: int, extent: float) -> list[tuple]:
+    """Each frame's (scene, camera pose, curtain plane on camera x, -inf for
+    none); a scene or pose that does not change is the same object every frame."""
     rng = np.random.default_rng(seed)
-    centroid = np.zeros(3)
     fixed = look_at(centroid + np.array([FIXED_CAM_DISTANCE, 0.0, FIXED_CAM_HEIGHT]), centroid)
-
     if protocol == "two_object_pan":
         gap = extent / 4.0
         scene = [objects[0].with_pose(translation=centroid + np.array([0.0, -gap / 2 - 0.02, 0.0])),
@@ -216,29 +230,52 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
     else:
         scene = [objects[0].with_pose(translation=centroid)]
     if protocol in ("camera_pan", "two_object_pan"):
-        schedule = [(scene, pose, -np.inf) for pose in _pan_poses(centroid, length)]
-    elif protocol in ("object_hiding", "object_reveal"):
+        return [(scene, pose, -np.inf) for pose in _pan_poses(centroid, length)]
+    if protocol in ("object_hiding", "object_reveal"):
         cutoffs = _curtain_cutoffs(resolution, _grid_origin(fixed, centroid, extent)[0],
                                    extent / resolution, length,
                                    reveal=(protocol == "object_reveal"))
-        schedule = [(scene, fixed, c) for c in cutoffs]
-    else:
-        # slide_behind: objects[0] = static occluder near the camera, objects[1]
-        # = mover crossing behind it; start position and standoff vary per seed
-        occluder = objects[0].with_pose(translation=centroid + np.array([0.06, 0.0, 0.0]))
-        standoff = float(rng.uniform(0.09, 0.125))
-        y0 = float(rng.uniform(-0.070, -0.055))
-        y1 = float(rng.uniform(0.055, 0.070))
-        schedule = []
-        for i in range(length):
-            frac = i / (length - 1) if length > 1 else 0.0
-            mover_pos = centroid + np.array([0.06 - standoff, y0 + frac * (y1 - y0), 0.0])
-            schedule.append(([occluder, objects[1].with_pose(translation=mover_pos)],
-                             fixed, -np.inf))
+        return [(scene, fixed, c) for c in cutoffs]
+    # slide_behind: objects[0] = static occluder near the camera, objects[1]
+    # = mover crossing behind it; start position and standoff vary per seed
+    occluder = objects[0].with_pose(translation=centroid + np.array([0.06, 0.0, 0.0]))
+    standoff = float(rng.uniform(0.09, 0.125))
+    y0 = float(rng.uniform(-0.070, -0.055))
+    y1 = float(rng.uniform(0.055, 0.070))
+    schedule = []
+    for i in range(length):
+        frac = i / (length - 1) if length > 1 else 0.0
+        mover_pos = centroid + np.array([0.06 - standoff, y0 + frac * (y1 - y0), 0.0])
+        schedule.append(([occluder, objects[1].with_pose(translation=mover_pos)],
+                         fixed, -np.inf))
+    return schedule
 
+
+def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: int,
+                  resolution: int = 16, extent: float = DEFAULT_EXTENT,
+                  image_size: int = DEFAULT_IMAGE_SIZE) -> ViewSequence:
+    """Generate one sequence; deterministic in (protocol, objects, seed).
+
+    One loop builds each frame's target, depth view and curtain-filtered
+    input from the schedule, reusing the previous frame's target and view when
+    scene and pose are the same objects. Otherwise the current pose's memo
+    gives what that pose already computed: its voxel centers and rays, and
+    each object's mask and ray entries (slide_behind's camera and occluder)."""
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+    if length < 1:
+        raise ValueError(f"sequence length must be >= 1, got {length}")
+    if protocol in TWO_OBJECT_PROTOCOLS and len(objects) < 2:
+        raise ValueError(f"{protocol} needs 2 objects, got {len(objects)}")
+    centroid = np.zeros(3)
     frames, targets, poses = [], [], []
     shot_scene = shot_pose = None
-    for scene, pose, curtain in schedule:
+    for scene, pose, curtain in _schedule(protocol, objects, length, seed, centroid,
+                                          resolution, extent):
+        if pose is not shot_pose:  # one memo at a time; a pose that recurs starts anew
+            if shot_pose is not None:
+                shot_pose.memo = None
+            pose.memo = {}
         if scene is not shot_scene or pose is not shot_pose:
             target = _target_grid(scene, pose, centroid, resolution, extent)
             cloud = render_depth_view(scene, pose, image_size)
@@ -247,13 +284,8 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
         frames.append(_input_grid(visible, target))
         targets.append(target)
         poses.append(pose)
+    shot_pose.memo = None
     return ViewSequence(protocol, frames, targets, poses)
-
-
-def fully_occluded_frames(seq: ViewSequence) -> list[int]:
-    """Frames whose input grid is entirely empty but whose target is not."""
-    return [i for i, (f, t) in enumerate(zip(seq.frames, seq.targets))
-            if not f.occupancy().any() and t.occupancy().any()]
 
 
 # ---------------------------------------------------------------------------

@@ -113,20 +113,6 @@ def voxelize(cloud: PointCloud, resolution: int, origin, voxel_size: float
     return grid, int(len(cloud) - inside.sum())
 
 
-def points_per_occupied_voxel(cloud: PointCloud, grid: VoxelGrid) -> float:
-    """Mean number of cloud points landing in each occupied voxel (diagnostic)."""
-    if len(cloud) == 0:
-        return 0.0
-    idx = grid.world_to_index(cloud.points)
-    inside = np.all((idx >= 0) & (idx < grid.resolution), axis=1)
-    kept = idx[inside]
-    if kept.size == 0:
-        return 0.0
-    flat = (kept[:, 0] * grid.resolution + kept[:, 1]) * grid.resolution + kept[:, 2]
-    _, counts = np.unique(flat, return_counts=True)
-    return float(counts.mean())
-
-
 # ---------------------------------------------------------------------------
 # .vxg binary format: magic "VXG1" | u32 r | f32 origin[3] | f32 voxel_size |
 # f32 values[r^3] x-fastest, all little-endian.

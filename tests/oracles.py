@@ -11,7 +11,9 @@ import numpy as np
 
 from shapestream.marching import _DEGENERATE_AREA, Mesh
 from shapestream.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
-from shapestream.scenes import FOV_DEG, RAY_FAR, RAY_NEAR
+from shapestream.scenes import (DEFAULT_EXTENT, DEFAULT_IMAGE_SIZE, FOV_DEG, RAY_FAR,
+                                 RAY_NEAR, ViewSequence, _grid_origin, _input_grid,
+                                 _schedule)
 from shapestream.voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid
 
 
@@ -241,6 +243,61 @@ def render_depth_view_naive(objects, pose, image_size, step):
         lo = np.where(m, lo, mid)
     pts_world = pose.position + hi[:, None] * d
     return PointCloud(pose.world_to_camera(pts_world))
+
+
+def make_sequence_naive(protocol, objects, length, seed, resolution=16,
+                        extent=DEFAULT_EXTENT, image_size=DEFAULT_IMAGE_SIZE) -> ViewSequence:
+    """``scenes.make_sequence`` with nothing reused: each frame tests every
+    voxel center against every object of its scene and casts every ray at
+    every object: the reference for what ``make_sequence`` reuses from a pose's memo."""
+    centroid = np.zeros(3)
+    frames, targets, poses = [], [], []
+    for scene, pose, curtain in _schedule(protocol, objects, length, seed, centroid,
+                                          resolution, extent):
+        target = VoxelGrid.zeros(resolution, _grid_origin(pose, centroid, extent),
+                                 extent / resolution)
+        centers = pose.camera_to_world(target.voxel_centers())
+        occ = np.zeros(len(centers), dtype=bool)
+        for obj in scene:
+            occ |= obj.contains(centers)
+        r = resolution
+        target.values[:] = occ.reshape(r, r, r).transpose(2, 1, 0)
+        if any(obj.contains(pose.position[None, :])[0] for obj in scene):
+            raise ValueError("camera position lies inside an object")
+        dirs = camera_rays(pose, image_size)
+        hit_t = np.full(len(dirs), np.inf)
+        for obj in scene:  # only rays whose line meets the bounding sphere
+            center = obj.translation - pose.position
+            radius = obj.bounding_radius() * (1.0 + 1e-6)
+            idx = np.flatnonzero((dirs @ center) ** 2 >= center @ center - radius ** 2)
+            hit_t[idx] = np.minimum(hit_t[idx], obj.ray_entry(pose.position, dirs[idx],
+                                                              RAY_NEAR))
+        hit = hit_t < RAY_FAR
+        cloud = pose.world_to_camera(pose.position + hit_t[hit, None] * dirs[hit])
+        frames.append(_input_grid(PointCloud(cloud[cloud[:, 0] > curtain]), target))
+        targets.append(target)
+        poses.append(pose)
+    return ViewSequence(protocol, frames, targets, poses)
+
+
+def fully_occluded_frames(seq: ViewSequence) -> list[int]:
+    """Frames whose input grid is entirely empty but whose target is not."""
+    return [i for i, (f, t) in enumerate(zip(seq.frames, seq.targets))
+            if not f.occupancy().any() and t.occupancy().any()]
+
+
+def points_per_occupied_voxel(cloud: PointCloud, grid: VoxelGrid) -> float:
+    """Mean number of cloud points landing in each occupied voxel (diagnostic)."""
+    if len(cloud) == 0:
+        return 0.0
+    idx = grid.world_to_index(cloud.points)
+    inside = np.all((idx >= 0) & (idx < grid.resolution), axis=1)
+    kept = idx[inside]
+    if kept.size == 0:
+        return 0.0
+    flat = (kept[:, 0] * grid.resolution + kept[:, 1]) * grid.resolution + kept[:, 2]
+    _, counts = np.unique(flat, return_counts=True)
+    return float(counts.mean())
 
 
 def marching_cubes_naive(grid: VoxelGrid) -> Mesh:

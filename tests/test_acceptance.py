@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import fscore_naive, jaccard_naive
+from oracles import fscore_naive, fully_occluded_frames, jaccard_naive
 from shapestream.attention import (
     AssociativeMemory,
     causal_linear_attention_t,
@@ -26,7 +26,7 @@ from shapestream.marching import euler_characteristic, is_closed_manifold, \
 from shapestream.metrics import fscore, jaccard_values
 from shapestream.model import ModelConfig, build_model, forward_step, \
     sequence_loss, sequence_predictions
-from shapestream.scenes import fully_occluded_frames, gen_object, make_sequence
+from shapestream.scenes import gen_object, make_sequence
 from shapestream.train import train
 from shapestream.voxel import PointCloud, VoxelGrid
 

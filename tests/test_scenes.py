@@ -1,13 +1,15 @@
 """Object corpus, depth raycasting and the five sequence protocols."""
 
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import camera_rays, ray_depths, render_depth_view_naive
+from oracles import (camera_rays, fully_occluded_frames, make_sequence_naive,
+                     points_per_occupied_voxel, ray_depths, render_depth_view_naive)
 from shapestream.objects import OBJECT_KINDS, SolidObject, gen_object, random_rotation
 from shapestream.scenes import (
     DEFAULT_EXTENT,
@@ -17,7 +19,6 @@ from shapestream.scenes import (
     CameraPose,
     DatasetManifest,
     build_manifest,
-    fully_occluded_frames,
     look_at,
     make_sequence,
     read_manifest,
@@ -164,7 +165,7 @@ def test_fully_hidden_rear_object_contributes_no_points():
 
 def test_raycast_sphere_points_per_voxel_diagnostic():
     # density statistic is reported, not asserted to a particular value
-    from shapestream.voxel import points_per_occupied_voxel, voxelize
+    from shapestream.voxel import voxelize
 
     sphere = SolidObject("sphere", {"radius": 0.06})
     pose = look_at((0.5, 0.0, 0.25), (0.0, 0.0, 0.0))
@@ -411,6 +412,61 @@ def test_slide_behind_targets_keep_both_objects():
                                   8, seed=4, resolution=12)
     for t_both, t_one in zip(seq.targets, occluder_only.targets):
         assert t_both.occupancy().sum() > t_one.occupancy().sum()
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("resolution", [8, 12])
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_sequence_equals_per_frame_reference(protocol, resolution, seed):
+    # what a pose keeps for later frames changes no byte of any frame
+    objects = [gen_object("union", seed, 0.6), gen_object("lshape", seed + 1, 0.6)]
+    for length in (1, 6):
+        got = make_sequence(protocol, objects, length, seed, resolution=resolution)
+        want = make_sequence_naive(protocol, objects, length, seed, resolution=resolution)
+        assert len(got.frames) == len(want.frames) == length
+        for g, w in zip(got.frames + got.targets, want.frames + want.targets):
+            assert np.array_equal(g.values, w.values)
+            assert np.array_equal(g.origin, w.origin) and g.voxel_size == w.voxel_size
+        for g, w in zip(got.camera_poses, want.camera_poses):
+            assert np.array_equal(g.rotation, w.rotation)
+            assert np.array_equal(g.position, w.position)
+            assert g.memo is None
+
+
+def _contains_calls_on_centers(protocol, objects, length, resolution=8):
+    """The objects of each top-level ``SolidObject.contains`` call over all
+    voxel centers while one sequence is made; part calls of a compound do not count."""
+    real, depth, callers = SolidObject.contains, [0], []
+
+    def spy(obj, points):
+        if depth[0] == 0 and len(points) == resolution ** 3:
+            callers.append(obj)
+        depth[0] += 1
+        try:
+            return real(obj, points)
+        finally:
+            depth[0] -= 1
+    with mock.patch.object(SolidObject, "contains", autospec=True, side_effect=spy):
+        make_sequence(protocol, objects, length, seed=2, resolution=resolution)
+    return callers
+
+
+@pytest.mark.parametrize("length", [1, 7])
+def test_static_parts_are_computed_once_per_sequence(length):
+    objects = [gen_object("union", 5, 0.6), gen_object("lshape", 6, 0.6)]
+    # slide_behind: the occluder once, and each frame's mover once
+    callers = _contains_calls_on_centers("slide_behind", objects, length)
+    assert len(callers) == len({id(obj) for obj in callers}) == length + 1
+    assert len(_contains_calls_on_centers("object_hiding", objects, length)) == 1
+    # camera_pan moves the camera every frame, so nothing is reused
+    assert len(_contains_calls_on_centers("camera_pan", objects, length)) == length
+
+
+def test_slide_behind_rejects_an_occluder_around_the_camera():
+    around = SolidObject("sphere", {"radius": 1.0})
+    with pytest.raises(ValueError, match="inside"):
+        make_sequence("slide_behind", [around, gen_object("box", 0, 0.6)], 4, seed=0,
+                      resolution=8)
 
 
 def test_sequence_deterministic_under_seed():

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import points_per_occupied_voxel
 from shapestream.voxel import (
     PointCloud,
     VoxelGrid,
     VxgError,
-    points_per_occupied_voxel,
     read_vxg,
     voxelize,
     write_pgm_slice,
