@@ -24,8 +24,9 @@ their own causal-masked weights phi(Q) phi(K)^T, then the memory absorbs
 them. Training starts from fresh memories, streaming passes running ones.
 The exact attention (``exact_causal_attention_t``) differs only in its
 weights, exp(Q K^T - rowmax) or the relu kernel; both share one mask,
-row-sum, fallback and normalize step. The numpy ``causal_linear_attention``
-and ``exact_causal_attention`` are the row-by-row references.
+row-sum, fallback and normalize step. ``feature_map_apply_t`` is the one
+feature map: the memory absorbs the same phi(K) that the chunkwise form
+weighs its own rows with. The row-by-row references live with the tests.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -84,20 +85,6 @@ def feature_map(kind: str, d_qk: int, m: int | None = None, seed: int = 0
     return KernelFeatureMap(kind="softmax", d_qk=d_qk, m=m, seed=seed)
 
 
-def feature_map_apply(fmap: KernelFeatureMap, x: np.ndarray) -> np.ndarray:
-    """phi(x) for x of shape (d_qk,) or (L, d_qk); output (m,) or (L, m)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != fmap.d_qk:
-        raise ValueError(f"input dim {x.shape[-1]} does not match d_qk={fmap.d_qk}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("feature map input must be finite")
-    if fmap.kind == "relu":
-        return np.maximum(x, 0.0)
-    proj = x @ fmap.projection.T
-    sq = 0.5 * np.sum(x * x, axis=-1, keepdims=x.ndim > 1)
-    return np.exp(proj - sq) / np.sqrt(fmap.m)
-
-
 def feature_map_apply_t(fmap: KernelFeatureMap, x: Tensor) -> Tensor:
     """Differentiable phi for a row tensor of shape (L, d_qk); output (L, m)."""
     if fmap.kind == "relu":
@@ -141,7 +128,7 @@ def memory_update(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray) -> Assoc
         raise ValueError(f"value shape {v.shape} does not match d={mem.M.shape[1]}")
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite key or value rejected; memory unmodified")
-    pk = np.atleast_2d(feature_map_apply(mem.fmap, k))
+    pk = feature_map_apply_t(mem.fmap, Tensor(np.atleast_2d(k))).data
     # new arrays, not +=: a recorded graph may still read the old ones
     mem.M = mem.M + pk.T @ np.atleast_2d(v)
     mem.m_vec = mem.m_vec + pk.sum(axis=0)
@@ -159,67 +146,14 @@ def memory_query(mem: AssociativeMemory, q: np.ndarray, fallback: np.ndarray
     if mem.count < 1:
         raise ValueError("query of an empty memory (denominator would be 0)")
     q = np.asarray(q, dtype=np.float64)
-    pq = feature_map_apply(mem.fmap, q)
+    if q.shape != (mem.fmap.d_qk,) or not np.all(np.isfinite(q)):
+        raise ValueError(f"query must be one finite row of d_qk={mem.fmap.d_qk} values, "
+                         f"got shape {q.shape}")
+    pq = feature_map_apply_t(mem.fmap, Tensor(q[None])).data[0]
     denom = float(pq @ mem.m_vec)
     if denom <= EPS_DENOM:
         return np.asarray(fallback, dtype=np.float64).copy()
     return (pq @ mem.M) / denom
-
-
-# ---------------------------------------------------------------------------
-# attention over full sequences
-# ---------------------------------------------------------------------------
-
-
-def causal_linear_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
-                            fmap: KernelFeatureMap) -> np.ndarray:
-    """Row i attends to rows 1..i through the prefix-sum memory.
-
-    One left-to-right pass with O(m*d) state; row i equals a memory query
-    after absorbing rows 1..i (with the degenerate-row fallback to v_i).
-    """
-    Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
-    if Q.ndim != 2 or K.shape != Q.shape or V.shape[0] != Q.shape[0]:
-        raise ValueError(f"Q/K/V row counts must agree, got {Q.shape}, {K.shape}, {V.shape}")
-    if Q.shape[0] < 1:
-        raise ValueError("empty sequence")
-    mem = AssociativeMemory.fresh(fmap, V.shape[1])
-    out = np.empty_like(V)
-    for i in range(Q.shape[0]):
-        memory_update(mem, K[i], V[i])
-        out[i] = memory_query(mem, Q[i], fallback=V[i])
-    return out
-
-
-def exact_causal_attention(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
-                           kernel: str = "softmax") -> np.ndarray:
-    """Quadratic-time reference: row i = sum_{j<=i} K(q_i,k_j) v_j / sum_l K(q_i,k_l).
-
-    Softmax kernel is exp(q.k); its weights are rescaled by the row maximum
-    (a no-op on the normalized sum) for conditioning. A relu-kernel row whose
-    weights are all ~zero falls back to that row's value vector.
-    """
-    if kernel not in KERNEL_KINDS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_KINDS}")
-    Q, K, V = (np.asarray(a, dtype=np.float64) for a in (Q, K, V))
-    if Q.ndim != 2 or K.shape != Q.shape or V.shape[0] != Q.shape[0]:
-        raise ValueError(f"Q/K/V row counts must agree, got {Q.shape}, {K.shape}, {V.shape}")
-    L = Q.shape[0]
-    if L < 1:
-        raise ValueError("empty sequence")
-    out = np.empty_like(V)
-    for i in range(L):
-        if kernel == "softmax":
-            logits = K[: i + 1] @ Q[i]
-            w = np.exp(logits - logits.max())
-        else:
-            w = np.maximum(K[: i + 1], 0.0) @ np.maximum(Q[i], 0.0)
-        total = w.sum()
-        if total <= EPS_DENOM:
-            out[i] = V[i]
-        else:
-            out[i] = (w @ V[: i + 1]) / total
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +214,8 @@ def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,
                              kernel: str = "softmax") -> Tensor:
     """Gradient-tracked quadratic attention over (L, dim) rows; Q holds the
     last Lq <= L query rows, as in ``causal_linear_attention_t``."""
+    if kernel not in KERNEL_KINDS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_KINDS}")
     _check_rows(Q, K, V)
     if kernel == "relu":
         return _causal_average(Q.relu() @ K.relu().T, V)

@@ -116,41 +116,6 @@ def marching_cubes(grid: VoxelGrid) -> Mesh:
 
 
 # ---------------------------------------------------------------------------
-# mesh measurements
-# ---------------------------------------------------------------------------
-
-
-def mesh_volume(mesh: Mesh) -> float:
-    """Signed enclosed volume via the divergence theorem (tetrahedra to origin)."""
-    a = mesh.vertices[mesh.triangles[:, 0]]
-    b = mesh.vertices[mesh.triangles[:, 1]]
-    c = mesh.vertices[mesh.triangles[:, 2]]
-    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
-
-
-def edge_incidence(mesh: Mesh) -> dict[tuple[int, int], int]:
-    """Count how many triangles share each undirected edge."""
-    counts: dict[tuple[int, int], int] = {}
-    for i0, i1, i2 in mesh.triangles:
-        for u, v in ((i0, i1), (i1, i2), (i2, i0)):
-            key = (u, v) if u < v else (v, u)
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def euler_characteristic(mesh: Mesh) -> int:
-    used = np.unique(mesh.triangles)
-    return int(len(used) - len(edge_incidence(mesh)) + len(mesh.triangles))
-
-
-def is_closed_manifold(mesh: Mesh) -> bool:
-    """Every edge shared by exactly two triangles."""
-    if mesh.is_empty():
-        return False
-    return all(c == 2 for c in edge_incidence(mesh).values())
-
-
-# ---------------------------------------------------------------------------
 # surface sampling and export
 # ---------------------------------------------------------------------------
 

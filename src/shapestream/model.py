@@ -442,9 +442,3 @@ def bce_from_predictions(preds: list[Tensor], targets: list) -> Tensor:
         total = bce if total is None else total + bce
     return total * (1.0 / len(preds))
 
-
-def sequence_loss(model: MvpModel, frames: list, targets: list) -> Tensor:
-    """Mean binary cross-entropy over frames and voxels, clamped at 1e-7."""
-    if len(frames) != len(targets):
-        raise ValueError(f"{len(frames)} frames vs {len(targets)} targets")
-    return bce_from_predictions(sequence_predictions(model, frames), targets)

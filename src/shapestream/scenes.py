@@ -54,6 +54,7 @@ FIXED_CAM_DISTANCE = 0.55   # fixed-camera protocols: standoff from centroid
 FIXED_CAM_HEIGHT = 0.15     # lower pitch keeps the occluder's shadow flat
 MANIFEST_VERSION = 1
 SPLITS = ("train", "val", "test")
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # of the objects, in SPLITS order
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +83,12 @@ class CameraPose:
         return np.atleast_2d(points) @ self.rotation.T + self.position
 
 
-def look_at(position, target, up=(0.0, 0.0, 1.0)) -> CameraPose:
+def look_at(position, target) -> CameraPose:
+    """A camera at ``position`` facing ``target``, with world +z up in its image."""
     position = np.asarray(position, dtype=np.float64)
     forward = np.asarray(target, dtype=np.float64) - position
     forward = forward / np.linalg.norm(forward)
-    right = np.cross(forward, np.asarray(up, dtype=np.float64))
+    right = np.cross(forward, np.array([0.0, 0.0, 1.0]))
     right = right / np.linalg.norm(right)
     down = np.cross(forward, right)
     return CameraPose(np.stack([right, down, forward], axis=1), position)
@@ -379,18 +381,17 @@ class DatasetManifest:
         return manifest
 
 
-def split_objects(count: int, ratios: tuple = (0.8, 0.1, 0.1), seed: int = 0) -> list[str]:
-    """Assign each of ``count`` objects to train/val/test, deterministically.
+def split_objects(count: int, seed: int = 0) -> list[str]:
+    """Assign each of ``count`` objects to train/val/test by SPLIT_RATIOS,
+    deterministically.
 
     Splitting is at object granularity so test objects are never seen in
     training. Rejects fewer objects than splits.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"split ratios must sum to 1, got {ratios}")
     if count < 3:
         raise ValueError(f"need at least 3 objects to form 3 splits, got {count}")
-    n_val = max(1, int(np.floor(count * ratios[1])))
-    n_test = max(1, int(np.floor(count * ratios[2])))
+    n_val = max(1, int(np.floor(count * SPLIT_RATIOS[1])))
+    n_test = max(1, int(np.floor(count * SPLIT_RATIOS[2])))
     order = np.random.default_rng(seed).permutation(count)
     labels = [""] * count
     for pos, obj_idx in enumerate(order):
@@ -404,14 +405,14 @@ def split_objects(count: int, ratios: tuple = (0.8, 0.1, 0.1), seed: int = 0) ->
 
 
 def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,
-                   seed: int, ratios: tuple = (0.8, 0.1, 0.1)) -> DatasetManifest:
+                   seed: int) -> DatasetManifest:
     """Objects, split assignment and sequence pairings for one protocol."""
     check_fields(DatasetManifest(protocol, resolution, views, seed), "dataset", ValueError)
     rng = np.random.default_rng(seed)
     two_object = protocol in TWO_OBJECT_PROTOCOLS
     scale = 0.6 if two_object else 1.0
     kinds = [OBJECT_KINDS[int(rng.integers(0, len(OBJECT_KINDS)))] for _ in range(n_objects)]
-    labels = split_objects(n_objects, ratios, seed)
+    labels = split_objects(n_objects, seed)
     objects = [
         ObjectSpec(object_id=f"obj{i:04d}", kind=kinds[i],
                    seed=int(rng.integers(0, 2 ** 31)), scale=scale, split=labels[i])

@@ -154,12 +154,10 @@ def read_vxg(path) -> VoxelGrid:
         raise VxgError(f"malformed grid: {err}") from err
 
 
-def write_pgm_slice(grid: VoxelGrid, path, axis: int = 2, index: int | None = None) -> None:
-    """Mid-plane occupancy as an 8-bit ASCII PGM image (figure substitute)."""
+def write_pgm_slice(grid: VoxelGrid, path) -> None:
+    """Mid-plane occupancy across z as an 8-bit ASCII PGM image (figure substitute)."""
     r = grid.resolution
-    if index is None:
-        index = r // 2
-    sl = np.take(grid.values, index, axis=axis)
+    sl = grid.values[:, :, r // 2]
     img = np.round(sl * 255).astype(int)
     with open(path, "w") as f:
         f.write(f"P2\n{r} {r}\n255\n")

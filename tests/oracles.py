@@ -119,6 +119,26 @@ def exact_attention_naive(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
     return out
 
 
+def linear_attention_naive(Q: np.ndarray, K: np.ndarray, V: np.ndarray,
+                           fmap) -> np.ndarray:
+    """Row i reads the prefix sums M = sum_{j<=i} phi(k_j)^T v_j and
+    z = sum_{j<=i} phi(k_j): phi(q_i) M / phi(q_i).z, or v_i when that
+    denominator is at most 1e-9. phi is written from its definition."""
+    def phi(x):
+        if fmap.kind == "relu":
+            return np.maximum(x, 0.0)
+        return np.exp(fmap.projection @ x - 0.5 * float(x @ x)) / np.sqrt(fmap.m)
+
+    M, z = np.zeros((fmap.m, V.shape[1])), np.zeros(fmap.m)
+    out = np.empty_like(V)
+    for i in range(len(Q)):
+        M += np.outer(phi(K[i]), V[i])
+        z += phi(K[i])
+        pq = phi(Q[i])
+        out[i] = V[i] if pq @ z <= 1e-9 else pq @ M / (pq @ z)
+    return out
+
+
 def adam_reference(w0: float, grad_fn, lr: float, steps: int,
                    b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8) -> float:
     """Textbook scalar Adam with bias correction."""
@@ -367,3 +387,33 @@ def marching_cubes_naive(grid: VoxelGrid) -> Mesh:
     if not keep.all():
         mesh = Mesh(mesh.vertices, mesh.triangles[keep])
     return mesh
+
+
+def mesh_volume(mesh: Mesh) -> float:
+    """Signed enclosed volume via the divergence theorem (tetrahedra to origin)."""
+    a = mesh.vertices[mesh.triangles[:, 0]]
+    b = mesh.vertices[mesh.triangles[:, 1]]
+    c = mesh.vertices[mesh.triangles[:, 2]]
+    return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
+
+
+def edge_incidence(mesh: Mesh) -> dict[tuple[int, int], int]:
+    """Count how many triangles share each undirected edge."""
+    counts: dict[tuple[int, int], int] = {}
+    for i0, i1, i2 in mesh.triangles:
+        for u, v in ((i0, i1), (i1, i2), (i2, i0)):
+            key = (u, v) if u < v else (v, u)
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def euler_characteristic(mesh: Mesh) -> int:
+    used = np.unique(mesh.triangles)
+    return int(len(used) - len(edge_incidence(mesh)) + len(mesh.triangles))
+
+
+def is_closed_manifold(mesh: Mesh) -> bool:
+    """Every edge shared by exactly two triangles."""
+    if mesh.is_empty():
+        return False
+    return all(c == 2 for c in edge_incidence(mesh).values())

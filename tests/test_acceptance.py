@@ -10,22 +10,22 @@ import time
 
 import numpy as np
 
-from oracles import fscore_naive, fully_occluded_frames, jaccard_naive
+from oracles import euler_characteristic, fscore_naive, fully_occluded_frames, \
+    is_closed_manifold, jaccard_naive, mesh_volume
 from shapestream.attention import (
     AssociativeMemory,
     causal_linear_attention_t,
     exact_causal_attention_t,
     feature_map,
-    feature_map_apply,
+    feature_map_apply_t,
     memory_update,
 )
 from shapestream.autograd import Tensor
 from shapestream.bench import bench_attention
-from shapestream.marching import euler_characteristic, is_closed_manifold, \
-    marching_cubes, mesh_volume
+from shapestream.marching import marching_cubes
 from shapestream.metrics import fscore, jaccard_values
-from shapestream.model import ModelConfig, build_model, forward_step, \
-    sequence_loss, sequence_predictions
+from shapestream.model import ModelConfig, bce_from_predictions, build_model, \
+    forward_step, sequence_predictions
 from shapestream.scenes import gen_object, make_sequence
 from shapestream.train import train
 from shapestream.voxel import PointCloud, VoxelGrid
@@ -107,8 +107,8 @@ def test_03_softmax_feature_unbiasedness():
     estimates = np.empty((draws, 20))
     for s in range(draws):
         fmap = feature_map("softmax", d_qk=d, m=m, seed=s)
-        estimates[s] = np.einsum("ij,ij->i", feature_map_apply(fmap, Q),
-                                 feature_map_apply(fmap, K))
+        estimates[s] = np.einsum("ij,ij->i", feature_map_apply_t(fmap, Tensor(Q)).data,
+                                 feature_map_apply_t(fmap, Tensor(K)).data)
     target = np.exp(np.einsum("ij,ij->i", Q, K))
     sem = estimates.std(axis=0, ddof=1) / np.sqrt(draws)
     z = np.abs(estimates.mean(axis=0) - target) / sem
@@ -156,7 +156,7 @@ def test_05_gradients_match_finite_differences():
     assert model.parameter_count <= 5000
     frames = [(rng.random((8, 8, 8)) < 0.25).astype(float) for _ in range(2)]
     targets = [(rng.random((8, 8, 8)) < 0.25).astype(float) for _ in range(2)]
-    loss = sequence_loss(model, frames, targets)
+    loss = bce_from_predictions(sequence_predictions(model, frames), targets)
     loss.backward()
     h = 1e-5
     worst = 0.0
@@ -166,9 +166,9 @@ def test_05_gradients_match_finite_differences():
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = sequence_loss(model, frames, targets).item()
+            up = bce_from_predictions(sequence_predictions(model, frames), targets).item()
             flat[i] = orig - h
-            dn = sequence_loss(model, frames, targets).item()
+            dn = bce_from_predictions(sequence_predictions(model, frames), targets).item()
             flat[i] = orig
             fd = (up - dn) / (2 * h)
             worst = max(worst, abs(gflat[i] - fd) / max(abs(fd), 1e-6))

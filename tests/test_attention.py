@@ -1,21 +1,21 @@
 """Kernel feature maps, associative memory, linear vs exact attention."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import exact_attention_naive
+from oracles import exact_attention_naive, linear_attention_naive
 from shapestream.attention import (
     EPS_DENOM,
+    KERNEL_KINDS,
     AssociativeMemory,
     KernelFeatureMap,
-    causal_linear_attention,
     causal_linear_attention_t,
-    exact_causal_attention,
     exact_causal_attention_t,
     feature_map,
-    feature_map_apply,
     feature_map_apply_t,
     memory_query,
     memory_update,
@@ -23,6 +23,24 @@ from shapestream.attention import (
 from shapestream.autograd import Tensor
 
 RNG = np.random.default_rng
+
+
+def phi(fmap, x):
+    """The feature map of one row or of (L, d_qk) rows, as arrays."""
+    x = np.asarray(x, dtype=np.float64)
+    return feature_map_apply_t(fmap, Tensor(np.atleast_2d(x))).data.reshape(
+        x.shape[:-1] + (fmap.m,))
+
+
+def linear(Q, K, V, fmap):
+    """The model's chunkwise linear attention over a whole sequence, fresh memory."""
+    return causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V), fmap,
+                                     AssociativeMemory.fresh(fmap, d=V.shape[1])).data
+
+
+def exact(Q, K, V, kernel="softmax"):
+    """The model's quadratic attention over a whole sequence."""
+    return exact_causal_attention_t(Tensor(Q), Tensor(K), Tensor(V), kernel).data
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +51,7 @@ RNG = np.random.default_rng
 def test_relu_map_is_elementwise_max():
     fmap = feature_map("relu", d_qk=3)
     np.testing.assert_array_equal(
-        feature_map_apply(fmap, np.array([-1.0, 2.0, 0.0])), [0.0, 2.0, 0.0]
+        phi(fmap, np.array([-1.0, 2.0, 0.0])), [0.0, 2.0, 0.0]
     )
 
 
@@ -46,7 +64,7 @@ def test_softmax_map_at_zero_gives_exactly_one():
     # phi(0) entries are all 1/sqrt(m), so phi(0).phi(0) == 1 for any draw
     for seed in range(5):
         fmap = feature_map("softmax", d_qk=4, m=16, seed=seed)
-        p = feature_map_apply(fmap, np.zeros(4))
+        p = phi(fmap, np.zeros(4))
         assert p.shape == (16,)
         np.testing.assert_allclose(float(p @ p), 1.0, rtol=0, atol=1e-15)
 
@@ -56,7 +74,7 @@ def test_softmax_map_strictly_positive_and_seed_reproducible():
     fmap2 = feature_map("softmax", d_qk=6, m=32, seed=123)
     np.testing.assert_array_equal(fmap1.projection, fmap2.projection)
     x = RNG(0).standard_normal(6) * 3
-    assert np.all(feature_map_apply(fmap1, x) > 0)
+    assert np.all(phi(fmap1, x) > 0)
 
 
 def test_softmax_map_unbiased_kernel_estimate():
@@ -70,16 +88,19 @@ def test_softmax_map_unbiased_kernel_estimate():
     estimates = np.empty(draws)
     for s in range(draws):
         fmap = feature_map("softmax", d_qk=8, m=64, seed=s)
-        estimates[s] = feature_map_apply(fmap, q) @ feature_map_apply(fmap, k)
+        estimates[s] = phi(fmap, q) @ phi(fmap, k)
     mean = estimates.mean()
     sem = estimates.std(ddof=1) / np.sqrt(draws)
     assert abs(mean - np.exp(0.5)) < 3 * sem
 
 
 def test_feature_map_dimension_mismatch_rejected():
-    fmap = feature_map("relu", d_qk=3)
-    with pytest.raises(ValueError, match="dim"):
-        feature_map_apply(fmap, np.zeros(4))
+    """A memory query is one finite (d_qk,) row; anything else is a ValueError."""
+    mem = memory_update(AssociativeMemory.fresh(feature_map("relu", d_qk=3), d=2),
+                        np.ones(3), np.ones(2))
+    for q in (np.zeros(4), np.zeros((1, 3)), np.float64(1.0), np.array([1.0, np.nan, 0.0])):
+        with pytest.raises(ValueError, match="d_qk=3"):
+            memory_query(mem, q, fallback=np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +213,7 @@ def test_exact_attention_equal_keys_gives_running_mean():
     K = np.tile(rng.standard_normal(3), (L, 1))
     Q = rng.standard_normal((L, 3))
     V = rng.standard_normal((L, d))
-    out = exact_causal_attention(Q, K, V, kernel="softmax")
+    out = exact(Q, K, V, kernel="softmax")
     for i in range(L):
         np.testing.assert_allclose(out[i], V[: i + 1].mean(axis=0), atol=1e-12)
 
@@ -202,7 +223,7 @@ def test_exact_attention_two_step_hand_case():
     Q = np.array([[1.0], [np.log(3.0)]])
     K = np.array([[1.0], [0.0]])
     V = np.array([[2.0, 0.0], [6.0, 4.0]])
-    out = exact_causal_attention(Q, K, V, kernel="softmax")
+    out = exact(Q, K, V, kernel="softmax")
     np.testing.assert_allclose(out[0], V[0], atol=1e-14)
     np.testing.assert_allclose(out[1], (3 * V[0] + V[1]) / 4, atol=1e-12)
 
@@ -214,7 +235,7 @@ def test_exact_attention_matches_naive_double_loop():
         K = rng.standard_normal((7, 4))
         V = rng.standard_normal((7, 5))
         np.testing.assert_allclose(
-            exact_causal_attention(Q, K, V, kernel),
+            exact(Q, K, V, kernel),
             exact_attention_naive(Q, K, V, kernel),
             atol=1e-12,
         )
@@ -227,7 +248,7 @@ def test_softmax_rows_live_in_prefix_convex_hull():
         Q = rng.standard_normal((L, 2))
         K = rng.standard_normal((L, 2))
         V = rng.standard_normal((L, d))
-        out = exact_causal_attention(Q, K, V, kernel="softmax")
+        out = exact(Q, K, V, kernel="softmax")
         for i in range(L):
             # recompute weights independently; positive and normalized
             w = np.exp(K[: i + 1] @ Q[i])
@@ -243,17 +264,24 @@ def test_relu_all_zero_weights_falls_back_to_current_value():
     Q = np.array([[-1.0, -1.0]])
     K = np.array([[1.0, 1.0]])
     V = np.array([[42.0, -7.0]])
-    out = exact_causal_attention(Q, K, V, kernel="relu")
+    out = exact(Q, K, V, kernel="relu")
     np.testing.assert_array_equal(out[0], V[0])
+
+
+def test_exact_attention_unknown_kernel_rejected():
+    Q = np.ones((2, 3))
+    for kernel in ("Softmax", "linear"):
+        with pytest.raises(ValueError, match=re.escape(str(KERNEL_KINDS))):
+            exact(Q, Q, Q, kernel)
 
 
 def test_empty_sequence_rejected():
     empty = np.zeros((0, 3))
     with pytest.raises(ValueError, match="empty"):
-        exact_causal_attention(empty, empty, empty)
+        exact(empty, empty, empty)
     fmap = feature_map("relu", d_qk=3)
     with pytest.raises(ValueError, match="empty"):
-        causal_linear_attention(empty, empty, empty, fmap)
+        linear(empty, empty, empty, fmap)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +297,8 @@ def test_linear_relu_equals_exact_relu():
         Q = rng.standard_normal((L, 8))
         K = rng.standard_normal((L, 8))
         V = rng.standard_normal((L, 8))
-        got = causal_linear_attention(Q, K, V, fmap)
-        want = exact_causal_attention(Q, K, V, kernel="relu")
+        got = linear(Q, K, V, fmap)
+        want = exact_attention_naive(Q, K, V, "relu")
         assert np.max(np.abs(got - want)) < 1e-10
 
 
@@ -280,7 +308,7 @@ def test_linear_single_row_returns_value():
     Q = rng.standard_normal((1, 4))
     K = rng.standard_normal((1, 4))
     V = rng.standard_normal((1, 5))
-    np.testing.assert_allclose(causal_linear_attention(Q, K, V, fmap), V, atol=1e-12)
+    np.testing.assert_allclose(linear(Q, K, V, fmap), V, atol=1e-12)
 
 
 def test_linear_softmax_converges_to_exact_with_many_features():
@@ -292,8 +320,8 @@ def test_linear_softmax_converges_to_exact_with_many_features():
     K /= np.linalg.norm(K, axis=1, keepdims=True)
     V = rng.standard_normal((L, d))
     fmap = feature_map("softmax", d_qk=d, m=4096, seed=11)
-    got = causal_linear_attention(Q, K, V, fmap)
-    want = exact_causal_attention(Q, K, V, kernel="softmax")
+    got = linear(Q, K, V, fmap)
+    want = exact_attention_naive(Q, K, V, "softmax")
     assert np.max(np.abs(got - want)) < 0.05
 
 
@@ -306,15 +334,16 @@ def test_linear_softmax_converges_to_exact_with_many_features():
     cuts=st.sets(st.integers(1, 23), max_size=6),
 )
 def test_stream_equals_batch_property(kind, L, d, seed, cuts):
-    """Row-by-row memory queries, and the chunkwise Tensor form over a drawn
-    split of the L rows into chunks, both equal the batch result."""
+    """Row-by-row memory queries, the row-loop oracle, and the chunkwise form
+    over a drawn split of the L rows into chunks all equal the batch result."""
     rng = RNG(seed)
     fmap = (feature_map("relu", d_qk=d) if kind == "relu"
             else feature_map("softmax", d_qk=d, m=2 * d, seed=seed))
     Q = rng.standard_normal((L, d))
     K = rng.standard_normal((L, d))
     V = rng.standard_normal((L, d + 1))
-    batch = causal_linear_attention(Q, K, V, fmap)
+    batch = linear(Q, K, V, fmap)
+    assert np.max(np.abs(linear_attention_naive(Q, K, V, fmap) - batch)) < 1e-10
     mem = AssociativeMemory.fresh(fmap, d=d + 1)
     for i in range(L):
         memory_update(mem, K[i], V[i])
@@ -335,12 +364,12 @@ def test_causality_perturbation_only_affects_later_rows():
     Q = rng.standard_normal((L, 5))
     K = rng.standard_normal((L, 5))
     V = rng.standard_normal((L, 5))
-    base = causal_linear_attention(Q, K, V, fmap)
+    base = linear(Q, K, V, fmap)
     j = 4
     K2, V2 = K.copy(), V.copy()
     K2[j] += 1.0
     V2[j] -= 2.0
-    pert = causal_linear_attention(Q, K2, V2, fmap)
+    pert = linear(Q, K2, V2, fmap)
     np.testing.assert_array_equal(base[:j], pert[:j])
     assert np.max(np.abs(base[j:] - pert[j:])) > 1e-6
 
@@ -353,15 +382,13 @@ def test_hopfield_style_nearest_neighbor_retrieval():
     keys = 2.0 * np.eye(n, d_qk)  # orthogonal, pairwise dot 0
     values = rng.standard_normal((n, 16))
     for j in range(n):
-        out = exact_causal_attention(
-            np.tile(keys[j], (n, 1)), keys, values, kernel="softmax"
-        )[-1]
+        out = exact(np.tile(keys[j], (n, 1)), keys, values, kernel="softmax")[-1]
         scores = values @ out
         assert scores.argmax() == j
 
 
 # ---------------------------------------------------------------------------
-# differentiable counterparts agree with the ndarray paths
+# the model's forms agree with the row-by-row oracles
 # ---------------------------------------------------------------------------
 
 
@@ -376,13 +403,17 @@ def _attention_inputs(rng, L=6, d=4):
     return [(Q, K, V, L), (Q, -np.abs(K), V, L), (np.abs(Q), late, V, L), (Q, K, V, 2)]
 
 
-def test_tensor_feature_map_matches_ndarray():
-    for kind, m in (("relu", None), ("softmax", 12)):
-        fmap = (feature_map("relu", d_qk=6) if kind == "relu"
-                else feature_map("softmax", d_qk=6, m=m, seed=3))
-        x = RNG(10).standard_normal((5, 6))
-        got = feature_map_apply_t(fmap, Tensor(x)).data
-        np.testing.assert_allclose(got, feature_map_apply(fmap, x), atol=1e-14)
+def test_memory_absorbs_the_chunkwise_features():
+    """After a chunk, the memory holds exactly the phi(K) that the chunkwise
+    form weighed the chunk's own rows with."""
+    rng = RNG(10)
+    for fmap in (feature_map("relu", d_qk=6), feature_map("softmax", d_qk=6, m=12, seed=3)):
+        Q, K, V = (rng.standard_normal((5, 6)) for _ in range(3))
+        mem = AssociativeMemory.fresh(fmap, d=6)
+        causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V), fmap, mem)
+        pk = feature_map_apply_t(fmap, Tensor(K)).data
+        assert np.array_equal(mem.M, pk.T @ V)
+        assert np.array_equal(mem.m_vec, pk.sum(axis=0))
 
 
 def test_tensor_linear_attention_matches_ndarray():
@@ -391,7 +422,7 @@ def test_tensor_linear_attention_matches_ndarray():
     for Q, K, V, lq in _attention_inputs(RNG(11)):
         for fmap in (feature_map("relu", d_qk=4),
                      feature_map("softmax", d_qk=4, m=8, seed=1)):
-            want = causal_linear_attention(Q, K, V, fmap)
+            want = linear_attention_naive(Q, K, V, fmap)
             got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap,
                                             AssociativeMemory.fresh(fmap, d=V.shape[1]))
             np.testing.assert_allclose(got.data, want[-lq:], atol=1e-12)
@@ -411,7 +442,7 @@ def test_tensor_linear_attention_matches_ndarray():
 def test_tensor_exact_attention_matches_ndarray():
     for Q, K, V, lq in _attention_inputs(RNG(12)):
         for kernel in ("softmax", "relu"):
-            want = exact_causal_attention(Q, K, V, kernel)[-lq:]
+            want = exact_attention_naive(Q, K, V, kernel)[-lq:]
             got = exact_causal_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), kernel)
             np.testing.assert_allclose(got.data, want, atol=1e-12)
 

@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import marching_cubes_naive
-from shapestream.marching import (
-    Mesh,
-    edge_incidence,
-    euler_characteristic,
-    is_closed_manifold,
-    marching_cubes,
-    mesh_volume,
-    sample_surface_points,
-    write_off,
-)
+from oracles import (edge_incidence, euler_characteristic, is_closed_manifold,
+                     marching_cubes_naive, mesh_volume)
+from shapestream.marching import Mesh, marching_cubes, sample_surface_points, write_off
 from shapestream.mc_tables import TRI_TABLE
 from shapestream.scenes import gen_object, make_sequence
 from shapestream.voxel import VoxelGrid

@@ -12,7 +12,6 @@ from shapestream.model import (
     bce_from_predictions,
     build_model,
     forward_step,
-    sequence_loss,
     sequence_predictions,
 )
 from shapestream import model as model_module
@@ -378,14 +377,14 @@ def test_target_outside_unit_interval_rejected():
     frames, _ = random_frames(2, seed=11)
     bad = [np.full((8, 8, 8), 1.5)] * 2
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        sequence_loss(model, frames, bad)
+        bce_from_predictions(sequence_predictions(model, frames), bad)
 
 
 @pytest.mark.parametrize("variant", ["mvp", "mvt", "lstm", "single_view"])
 def test_every_parameter_receives_gradient(variant):
     model = build_model(tiny_config(variant))
     frames, targets = random_frames(3, seed=12, density=0.3)
-    loss = sequence_loss(model, frames, targets)
+    loss = bce_from_predictions(sequence_predictions(model, frames), targets)
     loss.backward()
     for name, p in model.params.items():
         assert p.grad is not None, name
@@ -395,7 +394,7 @@ def test_every_parameter_receives_gradient(variant):
 def test_multi_head_gradients_flow_everywhere():
     model = build_model(tiny_config("mvp", attention_heads=2, kernel="softmax"))
     frames, targets = random_frames(3, seed=33, density=0.3)
-    loss = sequence_loss(model, frames, targets)
+    loss = bce_from_predictions(sequence_predictions(model, frames), targets)
     loss.backward()
     for name, p in model.params.items():
         assert p.grad is not None and np.any(p.grad != 0.0), name
@@ -406,7 +405,7 @@ def test_loss_gradient_matches_finite_differences_sampled():
     config = tiny_config("mvp", kernel="relu")
     model = build_model(config)
     frames, targets = random_frames(2, seed=13, density=0.3)
-    loss = sequence_loss(model, frames, targets)
+    loss = bce_from_predictions(sequence_predictions(model, frames), targets)
     loss.backward()
     rng = RNG(14)
     h = 1e-5
@@ -416,9 +415,9 @@ def test_loss_gradient_matches_finite_differences_sampled():
         for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            up = sequence_loss(model, frames, targets).item()
+            up = bce_from_predictions(sequence_predictions(model, frames), targets).item()
             flat[idx] = orig - h
-            dn = sequence_loss(model, frames, targets).item()
+            dn = bce_from_predictions(sequence_predictions(model, frames), targets).item()
             flat[idx] = orig
             fd = (up - dn) / (2 * h)
             assert max_rel_error(np.array(gflat[idx]), np.array(fd)) < 1e-4, name
@@ -428,14 +427,14 @@ def test_training_step_reduces_loss_on_fixed_batch():
     model = build_model(tiny_config("mvp"))
     frames, targets = random_frames(2, seed=15, density=0.3)
     state = AdamState(learning_rate=3e-3)
-    first = sequence_loss(model, frames, targets)
+    first = bce_from_predictions(sequence_predictions(model, frames), targets)
     start = first.item()
     first.backward()
     for _ in range(20):
         grads = gradients_of(model.params)
         zero_gradients(model.params)
         adam_update(model.params, grads, state)
-        loss = sequence_loss(model, frames, targets)
+        loss = bce_from_predictions(sequence_predictions(model, frames), targets)
         end = loss.item()
         loss.backward()
     zero_gradients(model.params)

@@ -306,7 +306,8 @@ def _axis_aligned_scene(name):
     if name == "cylinder_side_on":  # the optical axis meets the curved side
         return [cylinder], side
     assert name == "cylinder_end_on"  # the optical axis is the cylinder's axis
-    return [cylinder], look_at((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), up=(0.0, 1.0, 0.0))
+    # looking down world z, image x along world x and image y down world y
+    return [cylinder], CameraPose(np.diag([1.0, -1.0, -1.0]), (0.0, 0.0, 0.5))
 
 
 @pytest.mark.parametrize("image_size", [1, 9, 23])
@@ -483,16 +484,14 @@ def test_sequence_deterministic_under_seed():
 
 
 def test_split_10_objects_is_8_1_1():
-    labels = split_objects(10, (0.8, 0.1, 0.1), seed=7)
+    labels = split_objects(10, seed=7)
     assert labels.count("train") == 8
     assert labels.count("val") == 1
     assert labels.count("test") == 1
 
 
-def test_split_deterministic_and_ratio_checked():
+def test_split_deterministic_and_count_checked():
     assert split_objects(20, seed=3) == split_objects(20, seed=3)
-    with pytest.raises(ValueError, match="sum to 1"):
-        split_objects(10, (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError, match="at least 3"):
         split_objects(2, seed=0)
 

@@ -229,7 +229,7 @@ def test_pgm_slice_export(tmp_path):
     grid = VoxelGrid.zeros(4, (0, 0, 0), 1.0)
     grid.values[1, 2, 2] = 1.0
     path = tmp_path / "mid.pgm"
-    write_pgm_slice(grid, path, axis=2)
+    write_pgm_slice(grid, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "P2"
     assert lines[1] == "4 4"
