@@ -192,18 +192,18 @@ def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
                          f"{Q.shape}, {K.shape}, {V.shape}")
 
 
-def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, fmap: KernelFeatureMap,
-                              memory: AssociativeMemory) -> Tensor:
+def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, memory: AssociativeMemory) -> Tensor:
     """Gradient-tracked linear attention, chunkwise form.
 
     K and V hold L rows; Q holds the last Lq <= L query rows. Row a equals
     a memory query after absorbing ``memory``'s rows and then the key/value
-    rows up to its own position; ``memory`` then absorbs all L. An empty
-    memory's M and m_vec are zero, so its prefix is not added.
+    rows up to its own position; ``memory`` then absorbs all L. Queries and
+    keys pass through ``memory.fmap``, the map the memory absorbs with. An
+    empty memory's M and m_vec are zero, so its prefix is not added.
     """
     _check_rows(Q, K, V)
-    pq = feature_map_apply_t(fmap, Q)
-    weights = pq @ feature_map_apply_t(fmap, K).T
+    pq = feature_map_apply_t(memory.fmap, Q)
+    weights = pq @ feature_map_apply_t(memory.fmap, K).T
     out = _causal_average(weights, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None]))
                           if memory.count else None)
     memory_update(memory, K.data, V.data)

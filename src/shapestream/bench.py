@@ -11,34 +11,49 @@ and runs ``exact_causal_attention_t`` over all L rows, as ``forward_step`` does.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from time import perf_counter
 
 import numpy as np
 
 from .attention import (
+    KERNEL_KINDS,
     AssociativeMemory,
     causal_linear_attention_t,
     exact_causal_attention_t,
     feature_map,
 )
 from .autograd import Tensor, concat
+from .checks import rule
 
 
-def _steps(L: int, fmap, d: int, d_qk: int, heads: int, kernel: str, seed: int) -> dict:
+@dataclass(frozen=True)
+class BenchSettings:
+    """``bench_attention``'s settings; it takes them as keywords. ``dim`` is
+    the width of each head's keys, queries and values."""
+    lengths: tuple = (16, 64, 256)
+    dim: int = rule(256, min=1)
+    heads: int = rule(8, min=1)
+    trials: int = rule(200, min=1)
+    kernel: str = rule("relu", choices=KERNEL_KINDS)
+    seed: int = rule(0, min=0)
+
+
+def _steps(L: int, fmap, dim: int, heads: int, kernel: str, seed: int) -> dict:
     """The mvp and mvt step at history length L, on inputs drawn from seed."""
     rng = np.random.default_rng(seed)
-    memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, d)),
+    memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, dim)),
                                   m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
                 for _ in range(heads)]
-    k_hist = rng.standard_normal((heads, L - 1, d_qk))
-    v_hist = rng.standard_normal((heads, L - 1, d))
-    k = rng.standard_normal((heads, 1, d_qk))
-    v = rng.standard_normal((heads, 1, d))
-    q = rng.standard_normal((heads, 1, d_qk))
+    k_hist = rng.standard_normal((heads, L - 1, dim))
+    v_hist = rng.standard_normal((heads, L - 1, dim))
+    k = rng.standard_normal((heads, 1, dim))
+    v = rng.standard_normal((heads, 1, dim))
+    q = rng.standard_normal((heads, 1, dim))
 
     def memory_step():
         for h, mem in enumerate(memories):
-            causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), fmap, mem)
+            causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), mem)
 
     def history_step():
         for h in range(heads):
@@ -48,20 +63,20 @@ def _steps(L: int, fmap, d: int, d_qk: int, heads: int, kernel: str, seed: int) 
     return {"mvp": memory_step, "mvt": history_step}
 
 
-def bench_attention(lengths: tuple = (16, 64, 256), d: int = 256, d_qk: int = 256,
-                    heads: int = 8, trials: int = 200, kernel: str = "relu",
-                    seed: int = 0) -> dict:
+def bench_attention(lengths: tuple = BenchSettings.lengths, dim: int = BenchSettings.dim,
+                    heads: int = BenchSettings.heads, trials: int = BenchSettings.trials,
+                    kernel: str = BenchSettings.kernel, seed: int = BenchSettings.seed) -> dict:
     """Median step seconds per history length for both block kinds.
 
     Trial t runs every (length, block) step twice and times the second run,
     before trial t + 1 starts. So a slow phase of the host slows all lengths
     alike, and each timed step finds its own inputs in cache, not those of
     the length before it."""
-    results = {"mvp": {}, "mvt": {}, "d": d, "d_qk": d_qk, "heads": heads,
+    results = {"mvp": {}, "mvt": {}, "d": dim, "d_qk": dim, "heads": heads,
                "trials": trials, "kernel": kernel}
-    fmap = feature_map(kernel, d_qk=d_qk, m=d_qk, seed=seed)
+    fmap = feature_map(kernel, d_qk=dim, m=dim, seed=seed)
     steps = [(name, L, step) for L in lengths
-             for name, step in _steps(L, fmap, d, d_qk, heads, kernel, seed).items()]
+             for name, step in _steps(L, fmap, dim, heads, kernel, seed).items()]
     samples = np.empty((len(steps), trials))
     for t in range(trials):
         for s, (_, _, step) in enumerate(steps):

@@ -1,5 +1,12 @@
 """Command-line front end: dataset generation, training, evaluation, bench.
 
+Each ``train``, ``eval`` and ``bench`` setting is one dataclass field
+(``ModelConfig`` and ``train.TrainSettings``, ``metrics.EvalSettings``,
+``bench.BenchSettings``): the field gives its flag, the default ``--help``
+shows and its check. One merge builds a command's settings from the field
+defaults, then ``$MVP_SEED``, then ``--config`` (``train`` only), then the
+flags given, and checks them before ``--out`` is created.
+
 Every command is reproducible: outputs are fully determined by the command
 line, the config and the seed, and each output directory carries a
 machine-readable provenance record. Exit codes: 0 success, 2 usage error,
@@ -21,11 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .attention import KERNEL_KINDS
-from .bench import bench_attention, format_table, write_results
+from .bench import BenchSettings, bench_attention, format_table, write_results
 from .checkpoint import CheckpointError, load_model
-from .checks import check_fields, is_positive_real
-from .metrics import EXPORT_KINDS, evaluate_split
+from .checks import check_fields
+from .metrics import EXPORT_KINDS, EvalSettings, evaluate_split
 from .model import ModelConfig
 from .scenes import DEFAULT_VIEWS, PROTOCOLS, SPLITS, DatasetError, build_manifest, \
     read_manifest, read_sequence_grids, write_dataset
@@ -37,13 +43,16 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
 
-SETTING_FIELDS = fields(ModelConfig) + fields(TrainSettings)  # one train flag each
+# each command's setting fields, one flag each
+SETTING_FIELDS = {"train": fields(ModelConfig) + fields(TrainSettings),
+                  "eval": fields(EvalSettings), "bench": fields(BenchSettings)}
 # the flags not named as their field with '-' for '_'
 SETTING_FLAGS = {"resolution": "--res", "feature_count": "--features",
                  "performer_layers": "--layers", "attention_heads": "--heads",
                  "conv_channels": "--channels", "learning_rate": "--lr"}
 SETTING_HELP = {"resolution": "default: the dataset's resolution",
-                "seed": "random seed (default $MVP_SEED, else 0)"}
+                "seed": "random seed (default $MVP_SEED, else {})",
+                "threshold": "f-score threshold as a fraction of the grid diagonal (default {})"}
 
 
 class UsageError(Exception):
@@ -86,17 +95,21 @@ def _write_provenance(out: Path, argv: list, seed: int, config: dict) -> None:
     (out / "provenance.json").write_text(json.dumps(record, indent=2, sort_keys=True))
 
 
-def _parse_set_overrides(pairs: list) -> dict:
-    overrides = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, raw = pair.split("=", 1)
-        try:
-            overrides[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            overrides[key] = raw
-    return overrides
+def _merge_settings(args, **defaults) -> dict:
+    """The command's settings by field name from one merge: the field
+    defaults and ``defaults``, then $MVP_SEED, then --config (train only),
+    then the flags given."""
+    settings = {f.name: f.default for f in SETTING_FIELDS[args.command]}
+    settings.update(defaults, seed=_default_seed())
+    if getattr(args, "config", None):
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise UsageError(f"--config {args.config} must hold a JSON object, "
+                             f"got {type(loaded).__name__}")
+        settings.update(loaded)
+    settings.update((f.name, getattr(args, f.name)) for f in SETTING_FIELDS[args.command]
+                    if getattr(args, f.name) is not None)
+    return settings
 
 
 def _load_split(data_dir, manifest, split: str):
@@ -113,11 +126,11 @@ def _load_split(data_dir, manifest, split: str):
 
 
 def cmd_gen_data(args, argv: list) -> int:
-    manifest = build_manifest(args.protocol, args.objects, args.res, args.views,
-                              args.seed)
+    seed = _default_seed() if args.seed is None else args.seed
+    manifest = build_manifest(args.protocol, args.objects, args.res, args.views, seed)
     out = _prepare_out(args.out, args.force)
     write_dataset(manifest, out)
-    _write_provenance(out, argv, args.seed, {
+    _write_provenance(out, argv, seed, {
         "protocol": args.protocol, "objects": args.objects, "res": args.res,
         "views": args.views,
     })
@@ -132,20 +145,9 @@ def cmd_gen_data(args, argv: list) -> int:
 
 
 def _assemble_model_config(args, manifest) -> tuple[ModelConfig, TrainSettings]:
-    """Checked model config and training settings from one merge: defaults,
-    then --config, then --set, then explicit flags."""
-    settings: dict = {"resolution": manifest.resolution, "seed": _default_seed(),
-                      **asdict(TrainSettings())}
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise UsageError(f"--config {args.config} must hold a JSON object, "
-                             f"got {type(loaded).__name__}")
-        settings.update(loaded)
-    settings.update(_parse_set_overrides(args.set))
-    for f in SETTING_FIELDS:
-        if getattr(args, f.name) is not None:
-            settings[f.name] = getattr(args, f.name)
+    """Checked model config and training settings from one merge, in which
+    the dataset's resolution is the default."""
+    settings = _merge_settings(args, resolution=manifest.resolution)
     training = TrainSettings(**{f.name: settings.pop(f.name) for f in fields(TrainSettings)})
     check_fields(training, "training", ValueError)
     config = ModelConfig.from_dict(settings)
@@ -184,10 +186,7 @@ def cmd_eval(args, argv: list) -> int:
     for name in export:
         if name not in EXPORT_KINDS:
             raise UsageError(f"unknown --export entry {name!r}; expected {','.join(EXPORT_KINDS)}")
-    if not is_positive_real(args.threshold):
-        raise UsageError(f"--threshold must be finite and > 0, got {args.threshold}")
-    if args.points < 1:
-        raise UsageError(f"--points must be >= 1, got {args.points}")
+    settings = check_fields(EvalSettings(**_merge_settings(args)), "eval", UsageError)
     manifest = read_manifest(args.data)
     if args.checkpoint == "oracle":
         model = None
@@ -207,13 +206,11 @@ def cmd_eval(args, argv: list) -> int:
         raise MismatchError(f"dataset {args.data} has no {args.split!r} split")
     out = _prepare_out(args.out, args.force)
     report = evaluate_split(model, sequences, manifest.protocol, args.split,
-                            extent=manifest.extent, n_points=args.points,
-                            threshold_fraction=args.threshold,
-                            sample_seed=args.seed,
-                            export_dir=out if export else None, export=export)
+                            extent=manifest.extent, export_dir=out if export else None,
+                            export=export, **asdict(settings))
     report.to_csv(out / "frames.csv")
     report.write_summary(out / "summary.json")
-    _write_provenance(out, argv, args.seed, config_dict)
+    _write_provenance(out, argv, settings.seed, config_dict)
     print(f"{manifest.protocol} {args.split}: mean jaccard {report.mean_jaccard:.4f}, "
           f"mean f-score {report.mean_fscore:.4f} over {len(report.rows)} frames")
     print(f"report: {out / 'summary.json'}")
@@ -221,23 +218,15 @@ def cmd_eval(args, argv: list) -> int:
 
 
 def cmd_bench(args, argv: list) -> int:
-    try:
-        lengths = _int_list(args.lengths)
-    except ValueError:
-        lengths = (0,)  # not integers: rejected below
-    for flag, low in (("lengths", 1), ("dim", 1), ("heads", 1), ("trials", 1), ("seed", 0)):
-        if min(lengths if flag == "lengths" else [getattr(args, flag)]) < low:
-            raise UsageError(f"--{flag} takes integers >= {low}, got {getattr(args, flag)}")
+    settings = check_fields(BenchSettings(**_merge_settings(args)), "bench", UsageError)
     out = _prepare_out(args.out, args.force) if args.out else None
-    results = bench_attention(lengths=lengths, d=args.dim, d_qk=args.dim,
-                              heads=args.heads, trials=args.trials,
-                              kernel=args.kernel, seed=args.seed)
+    results = bench_attention(**asdict(settings))
     print(format_table(results))
     if out:
         write_results(results, out / "bench.json")
-        _write_provenance(out, argv, args.seed,
-                          {"lengths": list(lengths), "dim": args.dim,
-                           "heads": args.heads, "trials": args.trials})
+        _write_provenance(out, argv, settings.seed,
+                          {"lengths": list(settings.lengths), "dim": settings.dim,
+                           "heads": settings.heads, "trials": settings.trials})
         print(f"wrote {out / 'bench.json'}")
     return EXIT_OK
 
@@ -268,15 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model variant on a dataset")
     tr.add_argument("--data", required=True)
     tr.add_argument("--out", required=True)
-    kinds = {"int": int, "float": float, "str": str, "tuple": _int_list}
-    for f in SETTING_FIELDS:
-        default = ",".join(map(str, f.default)) if f.type == "tuple" else f.default
-        tr.add_argument(SETTING_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
-                        dest=f.name, type=kinds[f.type], choices=f.metadata.get("choices"),
-                        default=None, help=SETTING_HELP.get(f.name, f"default {default}"))
     tr.add_argument("--config", default=None, help="JSON config file")
-    tr.add_argument("--set", action="append", default=[],
-                    help="override a config key, e.g. --set latent_dim=64")
     tr.add_argument("--force", action="store_true")
     tr.set_defaults(func=cmd_train)
 
@@ -288,24 +269,22 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", required=True)
     ev.add_argument("--export", default="",
                     help=f"comma-separated exports: {','.join(EXPORT_KINDS)}")
-    ev.add_argument("--points", type=int, default=2048)
-    ev.add_argument("--threshold", type=float, default=0.01,
-                    help="f-score threshold as a fraction of the grid diagonal")
-    ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--force", action="store_true")
     ev.set_defaults(func=cmd_eval)
 
     be = sub.add_parser("bench", help="attention-block throughput microbenchmark")
-    be.add_argument("--lengths", default="16,64,256")
-    be.add_argument("--dim", type=int, default=256)
-    be.add_argument("--heads", type=int, default=8)
-    be.add_argument("--trials", type=int, default=200)
-    be.add_argument("--kernel", choices=KERNEL_KINDS, default="relu")
-    be.add_argument("--seed", type=int, default=None)
     be.add_argument("--out", default=None)
     be.add_argument("--force", action="store_true")
     be.set_defaults(func=cmd_bench)
 
+    kinds = {"int": int, "float": float, "str": str, "tuple": _int_list}
+    for command, setting_fields in SETTING_FIELDS.items():
+        for f in setting_fields:
+            default = ",".join(map(str, f.default)) if f.type == "tuple" else f.default
+            sub.choices[command].add_argument(
+                SETTING_FLAGS.get(f.name, "--" + f.name.replace("_", "-")), dest=f.name,
+                type=kinds[f.type], choices=f.metadata.get("choices"), default=None,
+                help=SETTING_HELP.get(f.name, "default {}").format(default))
     return parser
 
 
@@ -317,8 +296,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.seed is None and args.func is not cmd_train:  # train merges it under --config
-            args.seed = _default_seed()
         return args.func(args, argv)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -24,12 +24,21 @@ import numpy as np
 
 from .marching import Mesh, marching_cubes, sample_surface_points, write_off
 from .autograd import no_grad
+from .checks import rule
 from .model import MvpModel, sequence_predictions
 from .voxel import OCCUPANCY_THRESHOLD, PointCloud, VoxelGrid, write_pgm_slice, write_vxg
 
-DEFAULT_SURFACE_SAMPLES = 2048
-DEFAULT_THRESHOLD_FRACTION = 0.01
 EXPORT_KINDS = ("grids", "meshes", "slices")
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """``evaluate_split``'s settings; it takes them as keywords. ``threshold``
+    is a fraction of the grid diagonal, ``seed`` offsets each frame's sampling
+    seed."""
+    points: int = rule(2048, min=1)
+    threshold: float = 0.01
+    seed: int = rule(0, min=0)
 
 
 def jaccard_values(a: np.ndarray, b: np.ndarray) -> float:
@@ -172,10 +181,9 @@ def _surface_cloud(mesh: Mesh, n_points: int, seed: int) -> PointCloud | None:
 
 
 def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split: str,
-                   extent: float, n_points: int = DEFAULT_SURFACE_SAMPLES,
-                   threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION,
-                   sample_seed: int = 0, export_dir=None, export: tuple = ()
-                   ) -> MetricReport:
+                   extent: float, points: int = EvalSettings.points,
+                   threshold: float = EvalSettings.threshold, seed: int = EvalSettings.seed,
+                   export_dir=None, export: tuple = ()) -> MetricReport:
     """Frame-by-frame metrics over (seq_id, frames, targets) triples.
 
     ``model=None`` is the oracle hook: the prediction is the target itself.
@@ -184,9 +192,8 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
     seed, so identical meshes score F=1 exactly. Optional exports per frame:
     "grids" (.vxg), "meshes" (.off), "slices" (mid-plane .pgm).
     """
-    diag = extent * np.sqrt(3.0)
-    threshold = threshold_fraction * diag
-    report = MetricReport(protocol=protocol, split=split, threshold=threshold)
+    report = MetricReport(protocol=protocol, split=split,
+                          threshold=threshold * (extent * np.sqrt(3.0)))
     out = Path(export_dir) if export_dir is not None else None
     for seq_id, frames, targets in sequences:
         with no_grad():
@@ -195,16 +202,16 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
                 for p, f in zip(sequence_predictions(model, frames), frames)]
         for i, (pred, target) in enumerate(zip(preds, targets)):
             j = jaccard(pred, target)
-            seed = sample_seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536
+            frame_seed = seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536
             pred_mesh = marching_cubes(pred)
-            pred_cloud = _surface_cloud(pred_mesh, n_points, seed)
+            pred_cloud = _surface_cloud(pred_mesh, points, frame_seed)
             # the oracle's prediction is its target: same mesh, same seed, same cloud
             gt_cloud = (pred_cloud if pred is target
-                        else _surface_cloud(marching_cubes(target), n_points, seed))
+                        else _surface_cloud(marching_cubes(target), points, frame_seed))
             if pred_cloud is None or gt_cloud is None:
                 row = FrameMetrics(seq_id, i, j, 0.0, 0.0, 0.0, flagged=True)
             else:
-                p, r, f = fscore(pred_cloud, gt_cloud, threshold)
+                p, r, f = fscore(pred_cloud, gt_cloud, report.threshold)
                 row = FrameMetrics(seq_id, i, j, p, r, f)
             report.rows.append(row)
             if out is not None:

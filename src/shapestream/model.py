@@ -332,15 +332,14 @@ def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: tuple) -> tuple[Tensor
     return concat(rows, axis=0), (h.data, c.data)
 
 
-def _attend(model: MvpModel, head: int, q: Tensor, k: Tensor, v: Tensor, slot
-            ) -> tuple[Tensor, object]:
+def _attend(model: MvpModel, q: Tensor, k: Tensor, v: Tensor, slot) -> tuple[Tensor, object]:
     """One head of causal attention for the new rows after the head's slot of
     the state, an associative memory (mvp) or the stored key/value history
     (mvt); returns the rows and the slot advanced by them."""
     cfg = model.config
     if cfg.variant == "mvp":
         memory = replace(slot)
-        return attn.causal_linear_attention_t(q, k, v, model.fmaps[head], memory), memory
+        return attn.causal_linear_attention_t(q, k, v, memory), memory
     keys, values = (concat([Tensor(old), new]) for old, new in zip(slot, (k, v)))
     return attn.exact_causal_attention_t(q, keys, values, cfg.kernel), (keys.data, values.data)
 
@@ -357,7 +356,7 @@ def _mix(model: MvpModel, l: int, x: Tensor, layer: list) -> Tensor:
         return out
     q, k, v = (x @ p[f"blk{l}.w{name}"] for name in "qkv")
     hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-    heads, layer[:] = zip(*(_attend(model, h, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
+    heads, layer[:] = zip(*(_attend(model, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
                                     v.narrow(1, h * hv, hv), layer[h])
                             for h in range(cfg.attention_heads)))
     return concat(heads, axis=1) @ p[f"blk{l}.wo"]

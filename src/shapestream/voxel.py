@@ -75,9 +75,6 @@ class VoxelGrid:
     def world_to_index(self, points: np.ndarray) -> np.ndarray:
         return np.floor((np.asarray(points) - self.origin) / self.voxel_size).astype(np.int64)
 
-    def index_to_center(self, idx: np.ndarray) -> np.ndarray:
-        return self.origin + (np.asarray(idx, dtype=np.float64) + 0.5) * self.voxel_size
-
 
 @dataclass
 class PointCloud:

@@ -306,6 +306,11 @@ def fully_occluded_frames(seq: ViewSequence) -> list[int]:
             if not f.occupancy().any() and t.occupancy().any()]
 
 
+def index_to_center(grid: VoxelGrid, idx: np.ndarray) -> np.ndarray:
+    """World positions of the centers of voxels ``idx``, shape (n, 3)."""
+    return grid.origin + (np.asarray(idx, dtype=np.float64) + 0.5) * grid.voxel_size
+
+
 def points_per_occupied_voxel(cloud: PointCloud, grid: VoxelGrid) -> float:
     """Mean number of cloud points landing in each occupied voxel (diagnostic)."""
     if len(cloud) == 0:

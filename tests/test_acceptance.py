@@ -57,11 +57,11 @@ def test_01_stream_batch_memory_equivalence():
                 else feature_map("softmax", d_qk=d, m=2 * d, seed=trial))
         Q, K = (Tensor(a) for a in rng.standard_normal((2, L, d)))
         V = Tensor(rng.standard_normal((L, d)))
-        batch = causal_linear_attention_t(Q, K, V, fmap, AssociativeMemory.fresh(fmap, d=d)).data
+        batch = causal_linear_attention_t(Q, K, V, AssociativeMemory.fresh(fmap, d=d)).data
         mem = AssociativeMemory.fresh(fmap, d=d)
         for i in range(L):
             row = causal_linear_attention_t(Q.narrow(0, i, 1), K.narrow(0, i, 1),
-                                            V.narrow(0, i, 1), fmap, mem).data[0]
+                                            V.narrow(0, i, 1), mem).data[0]
             worst = max(worst, float(np.max(np.abs(row - batch[i]))))
     _report(1, "stream/batch memory equivalence (both kernels, 100 sequences)",
             worst < 1e-10, f"max abs err {worst:.2e} < 1e-10", time.time() - t0, 10)
@@ -83,7 +83,7 @@ def test_02_relu_kernel_exactness():
         V = Tensor(rng.standard_normal((L, d)))
         mem = AssociativeMemory.fresh(fmap, d=d)
         linear = np.concatenate([
-            causal_linear_attention_t(*(t.narrow(0, a, b - a) for t in (Q, K, V)), fmap, mem).data
+            causal_linear_attention_t(*(t.narrow(0, a, b - a) for t in (Q, K, V)), mem).data
             for a, b in ((0, split), (split, L)) if b > a])
         exact = exact_causal_attention_t(Q, K, V, kernel="relu").data
         worst = max(worst, float(np.max(np.abs(linear - exact))))
@@ -320,7 +320,7 @@ def test_10_model_causality():
 
 def test_11_throughput_contrast():
     t0 = time.time()
-    results = bench_attention(lengths=(16, 256), d=256, d_qk=256, heads=8,
+    results = bench_attention(lengths=(16, 256), dim=256, heads=8,
                               trials=200, kernel="relu", seed=0)
     mvp_ratio = results["ratios"]["mvp"]
     mvt_ratio = results["ratios"]["mvt"]

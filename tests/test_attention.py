@@ -34,7 +34,7 @@ def phi(fmap, x):
 
 def linear(Q, K, V, fmap):
     """The model's chunkwise linear attention over a whole sequence, fresh memory."""
-    return causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V), fmap,
+    return causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V),
                                      AssociativeMemory.fresh(fmap, d=V.shape[1])).data
 
 
@@ -352,7 +352,7 @@ def test_stream_equals_batch_property(kind, L, d, seed, cuts):
     mem = AssociativeMemory.fresh(fmap, d=d + 1)
     bounds = [0, *sorted(c for c in cuts if c < L), L]
     chunks = [causal_linear_attention_t(Tensor(Q[a:b]), Tensor(K[a:b]), Tensor(V[a:b]),
-                                        fmap, mem).data for a, b in zip(bounds, bounds[1:])]
+                                        mem).data for a, b in zip(bounds, bounds[1:])]
     assert np.max(np.abs(np.concatenate(chunks) - batch)) < 1e-10
     assert mem.count == L
 
@@ -410,7 +410,7 @@ def test_memory_absorbs_the_chunkwise_features():
     for fmap in (feature_map("relu", d_qk=6), feature_map("softmax", d_qk=6, m=12, seed=3)):
         Q, K, V = (rng.standard_normal((5, 6)) for _ in range(3))
         mem = AssociativeMemory.fresh(fmap, d=6)
-        causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V), fmap, mem)
+        causal_linear_attention_t(Tensor(Q), Tensor(K), Tensor(V), mem)
         pk = feature_map_apply_t(fmap, Tensor(K)).data
         assert np.array_equal(mem.M, pk.T @ V)
         assert np.array_equal(mem.m_vec, pk.sum(axis=0))
@@ -423,13 +423,13 @@ def test_tensor_linear_attention_matches_ndarray():
         for fmap in (feature_map("relu", d_qk=4),
                      feature_map("softmax", d_qk=4, m=8, seed=1)):
             want = linear_attention_naive(Q, K, V, fmap)
-            got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V), fmap,
+            got = causal_linear_attention_t(Tensor(Q[-lq:]), Tensor(K), Tensor(V),
                                             AssociativeMemory.fresh(fmap, d=V.shape[1]))
             np.testing.assert_allclose(got.data, want[-lq:], atol=1e-12)
             mem = AssociativeMemory.fresh(fmap, d=V.shape[1])
             for a, b in ((0, 1), (1, 3), (3, len(Q))):
                 got = causal_linear_attention_t(Tensor(Q[a:b]), Tensor(K[a:b]),
-                                                Tensor(V[a:b]), fmap, mem)
+                                                Tensor(V[a:b]), mem)
                 np.testing.assert_allclose(got.data, want[a:b], atol=1e-12)
             rows = AssociativeMemory.fresh(fmap, d=V.shape[1])
             for k, v in zip(K, V):
@@ -454,16 +454,15 @@ def test_tensor_attention_gradients_flow_to_inputs():
     L, d = 4, 3
     Q, K, V = (Tensor(rng.standard_normal((L, d)), requires_grad=True) for _ in range(3))
     fmap = feature_map("softmax", d_qk=d, m=6, seed=2)
-    causal_linear_attention_t(Q, K, V, fmap, AssociativeMemory.fresh(fmap, d)).sum().backward()
+    causal_linear_attention_t(Q, K, V, AssociativeMemory.fresh(fmap, d)).sum().backward()
     assert Q.grad is not None and K.grad is not None and V.grad is not None
     assert np.any(V.grad[0] != 0)
     whole = Tensor(Q.data, requires_grad=True)
-    causal_linear_attention_t(whole, K, V, fmap, AssociativeMemory.fresh(fmap, d)
+    causal_linear_attention_t(whole, K, V, AssociativeMemory.fresh(fmap, d)
                               ).narrow(0, 2, 2).sum().backward()
     mem = AssociativeMemory.fresh(fmap, d)
-    causal_linear_attention_t(Tensor(Q.data[:2]), Tensor(K.data[:2]), Tensor(V.data[:2]),
-                              fmap, mem)
+    causal_linear_attention_t(Tensor(Q.data[:2]), Tensor(K.data[:2]), Tensor(V.data[:2]), mem)
     chunk = Tensor(Q.data[2:], requires_grad=True)
-    causal_linear_attention_t(chunk, Tensor(K.data[2:]), Tensor(V.data[2:]), fmap, mem
+    causal_linear_attention_t(chunk, Tensor(K.data[2:]), Tensor(V.data[2:]), mem
                               ).sum().backward()
     np.testing.assert_allclose(chunk.grad, whole.grad[2:], rtol=0, atol=1e-12)

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from shapestream import cli as cli_module
 from shapestream import model as model_module
+from shapestream.bench import BenchSettings
 from shapestream.checkpoint import load_model
 from shapestream.cli import _assemble_model_config, build_parser, main
+from shapestream.metrics import EvalSettings
 from shapestream.model import ModelConfig
 from shapestream.scenes import DatasetError, build_manifest, read_manifest
 from shapestream.train import TrainSettings
@@ -177,28 +179,36 @@ def test_eval_mesh_export_one_off_per_frame(tmp_path):
     assert len(offs) == n_test * 3
 
 
-def test_config_file_and_set_overrides(tmp_path):
+def write_config(tmp_path, config) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_config_file_beats_defaults_and_flags_beat_it(tmp_path, monkeypatch):
     data = gen(tmp_path)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"latent_dim": 16, "qk_dim": 8, "feature_count": 8,
-                               "performer_layers": 1, "conv_channels": [2, 4],
-                               "train_views": 3, "steps": 2}))
+    monkeypatch.setenv("MVP_SEED", "3")
+    cfg = write_config(tmp_path, {"latent_dim": 16, "qk_dim": 8, "feature_count": 8,
+                                  "performer_layers": 1, "conv_channels": [2, 4],
+                                  "train_views": 3, "steps": 2, "variant": "mvt",
+                                  "seed": 1})
     run = str(tmp_path / "cfgrun")
     code = main(["train", "--data", data, "--out", run, "--variant", "lstm",
-                 "--config", str(cfg), "--set", "performer_layers=2"])
+                 "--config", cfg, "--layers", "2"])
     assert code == 0
     model = load_model(tmp_path / "cfgrun" / "checkpoint.mvpc")
-    assert model.config.performer_layers == 2  # --set beats file
+    assert model.config.performer_layers == 2  # flag beats file
     assert model.config.latent_dim == 16       # file beats defaults
-    assert model.config.variant == "lstm"      # flag beats both
+    assert model.config.seed == 1              # file beats MVP_SEED
+    assert model.config.variant == "lstm"      # flag beats file
 
 
-def test_training_flags_beat_set_overrides(tmp_path):
+def test_training_flags_beat_config_values(tmp_path):
     data = gen(tmp_path)
     run = tmp_path / "steps"
     assert main(["train", "--data", data, "--out", str(run), "--variant", "mvp",
-                 *TINY_TRAIN, "--set", "steps=1", "--steps", "2",
-                 "--set", "seed=1", "--seed", "2"]) == 0
+                 *TINY_TRAIN, "--config", write_config(tmp_path, {"steps": 1, "seed": 1}),
+                 "--steps", "2", "--seed", "2"]) == 0
     with open(run / "metrics.csv") as f:
         train_rows = [r for r in csv.DictReader(f) if r["split"] == "train"]
     assert len(train_rows) == 2
@@ -242,10 +252,20 @@ def test_eval_checkpoint_with_float_config_value_exits_3(tmp_path, capsys):
 
 def test_train_float_config_value_exits_2(tmp_path, capsys):
     data = gen(tmp_path)
-    code = main(["train", "--data", data, "--out", str(tmp_path / "run"),
-                 "--steps", "1", "--set", "latent_dim=16.0"])
+    out = tmp_path / "run"
+    code = main(["train", "--data", data, "--out", str(out), "--steps", "1",
+                 "--config", write_config(tmp_path, {"latent_dim": 16.0})])
     assert code == 2
     assert "latent_dim must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_flag_exits_2_as_unknown_argument(tmp_path, capsys):
+    data = gen(tmp_path)
+    out = tmp_path / "run"
+    assert main(["train", "--data", data, "--out", str(out), "--set", "steps=1"]) == 2
+    assert "unrecognized arguments: --set" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_set_max_views_exits_2_as_unknown_key(tmp_path, capsys):
@@ -253,7 +273,7 @@ def test_set_max_views_exits_2_as_unknown_key(tmp_path, capsys):
     data = gen(tmp_path, views=8)
     out = tmp_path / "run"
     code = main(["train", "--data", data, "--out", str(out), "--steps", "1",
-                 "--train-views", "12", "--set", "max_views=6"])
+                 "--train-views", "12", "--config", write_config(tmp_path, {"max_views": 6})])
     assert code == 2
     assert "unknown config keys: ['max_views']" in capsys.readouterr().err
     assert not out.exists()
@@ -283,7 +303,7 @@ def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("flags,config,field", [
     (["--steps", "1", "--val-every", "0"], None, "val_every"),
-    (["--set", "steps=2.7"], None, "steps"),
+    ([], {"steps": 2.7}, "steps"),
     (["--steps", "1", "--lr", "-1"], None, "learning_rate"),
     (["--steps", "1", "--lr", "inf"], None, "learning_rate"),
     (["--steps", "1"], {"val_every": 0}, "val_every"),
@@ -291,11 +311,10 @@ def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
 ], ids=["val_every_zero", "fractional_steps", "negative_lr", "infinite_lr",
         "config_val_every_zero", "config_negative_lr"])
 def test_train_invalid_training_setting_exits_2(tmp_path, capsys, flags, config, field):
-    """Flags, --set and --config are all checked before --out is created."""
+    """Flags and --config are both checked before --out is created."""
     data = gen(tmp_path)
     if config is not None:
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-        flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        flags = [*flags, "--config", write_config(tmp_path, config)]
     out = tmp_path / "run"
     code = main(["train", "--data", data, "--out", str(out), "--variant", "mvp",
                  *TINY_TRAIN, *flags])
@@ -304,31 +323,57 @@ def test_train_invalid_training_setting_exits_2(tmp_path, capsys, flags, config,
     assert not out.exists()
 
 
-# every train setting flag, with a valid value that is not its field's default
-SETTING_FLAGS = {
-    "variant": ("--variant", "mvt"), "resolution": ("--res", 8),
-    "latent_dim": ("--latent-dim", 16), "qk_dim": ("--qk-dim", 8),
-    "feature_count": ("--features", 8), "kernel": ("--kernel", "softmax"),
-    "performer_layers": ("--layers", 1), "attention_heads": ("--heads", 2),
-    "conv_channels": ("--channels", (2, 4)), "train_views": ("--train-views", 3),
-    "seed": ("--seed", 5), "steps": ("--steps", 7), "learning_rate": ("--lr", 0.005),
-    "val_every": ("--val-every", 3),
+def _flag_text(value) -> str:
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+# per command: its setting classes, the flags it requires, and every setting
+# flag with a valid value that is not its field's default
+SETTING_COMMANDS = {
+    "train": ((ModelConfig, TrainSettings), ["--data", "d", "--out", "o"], {
+        "variant": ("--variant", "mvt"), "resolution": ("--res", 8),
+        "latent_dim": ("--latent-dim", 16), "qk_dim": ("--qk-dim", 8),
+        "feature_count": ("--features", 8), "kernel": ("--kernel", "softmax"),
+        "performer_layers": ("--layers", 1), "attention_heads": ("--heads", 2),
+        "conv_channels": ("--channels", (2, 4)), "train_views": ("--train-views", 3),
+        "seed": ("--seed", 5), "steps": ("--steps", 7), "learning_rate": ("--lr", 0.005),
+        "val_every": ("--val-every", 3)}),
+    "eval": ((EvalSettings,), ["--checkpoint", "c", "--data", "d", "--out", "o"], {
+        "points": ("--points", 256), "threshold": ("--threshold", 0.02),
+        "seed": ("--seed", 5)}),
+    "bench": ((BenchSettings,), [], {
+        "lengths": ("--lengths", (4, 8)), "dim": ("--dim", 16), "heads": ("--heads", 2),
+        "trials": ("--trials", 3), "kernel": ("--kernel", "softmax"), "seed": ("--seed", 5)}),
 }
 
 
-def test_each_train_setting_flag_sets_its_field():
-    setting_fields = fields(ModelConfig) + fields(TrainSettings)
-    assert set(SETTING_FLAGS) == {f.name for f in setting_fields}
-    argv = ["train", "--data", "d", "--out", "o"]
+@pytest.mark.parametrize("command", SETTING_COMMANDS)
+def test_each_setting_flag_sets_its_field(command):
+    """Each field of the command's settings has exactly one flag, whose help
+    shows the field's default, and the flag's value lands in the field."""
+    classes, required, flags = SETTING_COMMANDS[command]
+    assert set(SETTING_COMMANDS) == set(cli_module.SETTING_FIELDS)
+    setting_fields = [f for cls in classes for f in fields(cls)]
+    assert cli_module.SETTING_FIELDS[command] == tuple(setting_fields)
+    assert set(flags) == {f.name for f in setting_fields}
+    actions = build_parser()._subparsers._group_actions[0].choices[command]._actions
+    argv = [command, *required]
     for f in setting_fields:
-        flag, value = SETTING_FLAGS[f.name]
+        flag, value = flags[f.name]
+        [action] = [a for a in actions if a.dest == f.name]
+        assert action.option_strings == [flag], f.name
+        # train's resolution defaults to the dataset's, and its help says so
+        assert f.name == "resolution" or _flag_text(f.default) in action.help, f.name
         assert value != f.default, f.name
-        argv += [flag, ",".join(map(str, value)) if isinstance(value, tuple) else str(value)]
-    config, training = _assemble_model_config(build_parser().parse_args(argv),
-                                              SimpleNamespace(resolution=8))
-    for f in setting_fields:
-        owner = training if f in fields(TrainSettings) else config
-        assert getattr(owner, f.name) == SETTING_FLAGS[f.name][1], f.name
+        argv += [flag, _flag_text(value)]
+    args = build_parser().parse_args(argv)
+    if command == "train":
+        owners = _assemble_model_config(args, SimpleNamespace(resolution=8))
+    else:
+        owners = [classes[0](**cli_module._merge_settings(args))]
+    for owner in owners:
+        for f in fields(owner):
+            assert getattr(owner, f.name) == flags[f.name][1], f.name
 
 
 def test_train_setting_flags_keep_their_choices():
@@ -510,14 +555,16 @@ def test_manifest_field_mutation_exits_3_or_loads_as_written(mutation):
 
 
 @pytest.mark.parametrize("flags", [["--threshold", "nan"], ["--threshold", "inf"],
-                                   ["--threshold", "0"], ["--points", "0"]],
-                         ids=["threshold_nan", "threshold_inf", "threshold_zero", "points_zero"])
+                                   ["--threshold", "0"], ["--points", "0"], ["--seed", "-1"],
+                                   ["--seed", "-70000"]],
+                         ids=["threshold_nan", "threshold_inf", "threshold_zero", "points_zero",
+                              "seed_minus_one", "seed_minus_70000"])
 def test_eval_invalid_threshold_or_points_exits_2(tmp_path, capsys, flags):
     data = gen(tmp_path)
     code = main(["eval", "--checkpoint", "oracle", "--data", data,
                  "--out", str(tmp_path / "x"), *flags])
     assert code == 2
-    assert f"{flags[0]} must be" in capsys.readouterr().err
+    assert f"eval {flags[0][2:]} must be" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -596,16 +643,18 @@ def test_bench_command_prints_table(tmp_path, capsys):
     assert (tmp_path / "b" / "bench.json").exists()
 
 
-@pytest.mark.parametrize("flags,low", [(["--lengths", "0,4"], 1), (["--lengths", "x,4"], 1),
-                                       (["--trials", "0"], 1), (["--dim", "0"], 1),
-                                       (["--heads", "0"], 1), (["--seed", "-1"], 0)],
-                         ids=["lengths_zero", "lengths_text", "trials_zero", "dim_zero",
-                              "heads_zero", "seed_negative"])
-def test_bench_invalid_size_exits_2_naming_the_flag(tmp_path, capsys, flags, low):
+@pytest.mark.parametrize("flags,message", [
+    (["--lengths", "0,4"], "bench lengths must be a list of positive integers"),
+    (["--lengths", "x,4"], "argument --lengths: invalid"),
+    (["--trials", "0"], "bench trials must be >= 1"), (["--dim", "0"], "bench dim must be >= 1"),
+    (["--heads", "0"], "bench heads must be >= 1"), (["--seed", "-1"], "bench seed must be >= 0"),
+], ids=["lengths_zero", "lengths_text", "trials_zero", "dim_zero", "heads_zero",
+        "seed_negative"])
+def test_bench_invalid_size_exits_2_naming_the_flag(tmp_path, capsys, flags, message):
     code = main(["bench", "--lengths", "8", "--dim", "8", "--heads", "1", "--trials", "2",
                  *flags, "--out", str(tmp_path / "b")])
     assert code == 2
-    assert f"{flags[0]} takes integers >= {low}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import points_per_occupied_voxel
+from oracles import index_to_center, points_per_occupied_voxel
 from shapestream.voxel import (
     PointCloud,
     VoxelGrid,
@@ -50,7 +50,7 @@ def test_binarization_idempotent():
 def test_world_index_round_trip():
     grid = VoxelGrid.zeros(8, origin=(-0.4, 0.0, 0.2), voxel_size=0.1)
     idx = np.array([[0, 3, 7], [5, 0, 1]])
-    centers = grid.index_to_center(idx)
+    centers = index_to_center(grid, idx)
     np.testing.assert_array_equal(grid.world_to_index(centers), idx)
 
 
