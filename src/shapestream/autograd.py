@@ -100,8 +100,9 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad)  # a copy: some VJPs return their input
+        else:
+            self.grad += grad
 
     def zero_grad(self):
         self.grad = None
@@ -219,7 +220,7 @@ class Tensor:
         def vjp(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            return np.broadcast_to(g, self.shape).copy()
+            return np.broadcast_to(g, self.shape)
 
         return _child(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
@@ -282,27 +283,31 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # -- 3D convolution ------------------------------------------------------------
 #
 # Layouts: input [N, C, D, H, W]; conv kernels [F, C, k, k, k];
-# transposed-conv kernels [C, F, k, k, k]. One shared trio of numpy helpers
-# implements forward/grad-input/grad-weight; the transposed variant is the
-# adjoint pairing of the same three maps. Each contraction is one np.matmul
-# batched over N: w2 @ cols, w2.T @ gy, and gy @ cols^T summed over N, with w2
-# the kernels as [F, C*k^3]. conv_transpose3d builds the im2col of its output
-# gradient once, in whichever of its two VJPs runs first; the columns are freed
-# with the node's record. These sums are not bit-identical to the planned
-# tensor contractions they replaced (~1e-15 relative per grad-weight call);
-# streamed (N=1) predictions are.
+# transposed-conv kernels [C, F, k, k, k]. Each contraction is one np.matmul
+# batched over N. conv3d runs w2 @ cols forward, and w2.T @ gy and gy @ cols^T
+# summed over N as its VJPs, with w2 the kernels as [F, C*k^3]. The VJPs of
+# conv_transpose3d are conv3d's forward and grad-weight on the im2col of its
+# output gradient, built once by whichever VJP runs first.
 #
 # _im2col copies one strided window view [N, C, k, k, k, Do, Ho, Wo] of the
-# zero-padded input into the columns. _col2im, its adjoint, writes each kernel
-# offset as a = s*q + p with phase p < s (s the stride): offset a of output
-# position i lands on padded position s*(i + q) + p. One shifted add per
-# (qa, qb, qc), of the column block of offsets s*q .. s*q + s - 1 (fewer at
-# the kernel's edge), therefore covers every phase at once: ceil(k/s)^3 adds
-# into the padded buffer seen as [N, C, s, s, s, D'/s, H'/s, W'/s], a view
-# (D' the padded extent rounded up to a multiple of s, so D'/s is at least
-# Do + ceil(k/s) - 1). Two phases never share a voxel, and within a phase the
-# adds run in increasing offset order, so every voxel sums its terms from 0.0
-# in the same order as a per-offset scatter: the result is the same bit for bit.
+# zero-padded input into the columns. _col2im, its adjoint, serves conv3d's
+# input gradient. It writes each kernel offset as a = s*q + p with phase p < s
+# (s the stride): offset a of output position i lands on padded position
+# s*(i + q) + p. So one shifted add per (qa, qb, qc) covers every phase at
+# once, into the padded buffer seen as [N, C, s, s, s, D'/s, H'/s, W'/s].
+# Two phases never share a voxel, and within a phase the adds run in offset
+# order, so the result equals a per-offset scatter bit for bit.
+#
+# conv_transpose3d's forward gathers by phase instead. With the kernel
+# zero-padded to kq = ceil(k/s) taps per phase, output s*j + p (before the crop
+# by padding) is sum_q w[s*q + p] x[j - q] over q < kq, for j < M = D + kq - 1.
+# The kernels regroup on each call (Adam updates them in place) to
+# [kq, kq, kq, C, s^3*F]. Each tap adds its sub-kernel, used transposed like
+# w2.T (for the default model, that gives the bits of _col2im of w2.T @ x),
+# times the input shifted by q into one zeroed [N, s^3*F, M^3] buffer, in
+# _col2im's order. The input sits after kq - 1 zero planes, rows and columns,
+# in M x M planes, so read flat a shifted input is a window, not a copy: a
+# read past a row's end lands in the next row's leading zeros.
 
 
 def conv3d_output_shape(spatial: tuple, k: int, stride: int, padding: int) -> tuple:
@@ -360,6 +365,30 @@ def _conv3d_grad_weight(cols: np.ndarray, gy: np.ndarray, w_shape: tuple) -> np.
     return (gyf @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(w_shape)
 
 
+def _conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride: int,
+                              padding: int) -> np.ndarray:
+    """x [N,C,D,H,W] and kernels [C,F,k,k,k] -> the transposed conv [N, F, *out]."""
+    (n, c, *spatial), (f, k), s = x.shape, w.shape[1:3], stride
+    kq = -(-k // s)
+    e = kq - 1
+    if k < kq * s:
+        w = np.pad(w, ((0, 0), (0, 0)) + ((0, kq * s - k),) * 3)
+    taps = w.reshape(c, f, kq, s, kq, s, kq, s).transpose(2, 4, 6, 0, 3, 5, 7, 1)
+    taps = taps.reshape(kq, kq, kq, c, s**3 * f)
+    ma, mb, mc = (d + e for d in spatial)
+    xp = np.zeros((n, c, ma + e + 1, mb, mc), dtype=x.dtype)  # 1 plane for reads past the end
+    xp[:, :, e:ma, e:, e:] = x
+    xp, size = xp.reshape(n, c, -1), ma * mb * mc
+    phases = np.zeros((n, s**3 * f, size), dtype=x.dtype)
+    for qa, qb, qc in product(range(kq), repeat=3):
+        start = ((e - qa) * mb + e - qb) * mc + e - qc
+        phases += taps[qa, qb, qc].T @ xp[:, :, start:start + size]
+    y = phases.reshape(n, s, s, s, f, ma, mb, mc).transpose(0, 4, 5, 1, 6, 2, 7, 3)
+    y = y.reshape(n, f, s * ma, s * mb, s * mc)
+    da, db, dc = conv_transpose3d_output_shape(spatial, k, s, padding)
+    return y[:, :, padding:padding + da, padding:padding + db, padding:padding + dc]
+
+
 def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int,
                 in_axis: int):
     """Reject malformed conv arguments before any numpy op sees them."""
@@ -405,7 +434,6 @@ def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     spatial_out = conv_transpose3d_output_shape(x.shape[2:], k, stride, padding)
     if any(s < 1 for s in spatial_out):
         raise ValueError(f"transposed conv output extent {spatial_out} is empty")
-    out_shape = (x.shape[0], kernels.shape[1]) + spatial_out
 
     w_shape = kernels.shape
     g_cols = []  # im2col of the output gradient, built by whichever VJP runs first
@@ -415,9 +443,8 @@ def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
             g_cols.append(_im2col(g, k, stride, padding))
         return g_cols[0]
 
-    # forward of the transpose == grad-input of the matching conv
     return _child(
-        _conv3d_grad_input(x.data, kernels.data, stride, padding, out_shape),
+        _conv_transpose3d_forward(x.data, kernels.data, stride, padding),
         (x, lambda g: _conv3d_forward(kernels.data, *cols_of(g))),
         (kernels, lambda g: _conv3d_grad_weight(cols_of(g)[0], x.data, w_shape)),
     )

@@ -27,12 +27,18 @@ class AdamState:
     step_count: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    # work arrays sized to the largest parameter, viewed per parameter by the update
+    scratch_num: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
+    scratch_den: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False, compare=False)
 
     def ensure(self, params: dict[str, Tensor]):
         for name, p in params.items():
             if name not in self.first_moment:
                 self.first_moment[name] = np.zeros_like(p.data)
                 self.second_moment[name] = np.zeros_like(p.data)
+            if p.data.size > self.scratch_num.size:
+                self.scratch_num = np.empty(p.data.size)
+                self.scratch_den = np.empty(p.data.size)
 
 
 def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -68,13 +74,15 @@ def adam_update(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             continue
         m = state.first_moment[name]
         v = state.second_moment[name]
+        step, denom = (a[:g.size].reshape(g.shape) for a in (state.scratch_num, state.scratch_den))
+        # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps), op by op into the scratch
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=step)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        v += np.multiply(np.multiply(g, g, out=step), 1.0 - b2, out=step)
+        np.multiply(np.divide(m, bias1, out=step), state.learning_rate, out=step)
+        np.add(np.sqrt(np.divide(v, bias2, out=denom), out=denom), state.epsilon, out=denom)
+        p.data -= np.divide(step, denom, out=step)
     return True
 
 

@@ -73,6 +73,22 @@ def col2im_naive(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
     return xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w]
 
 
+def conv_transpose3d_naive(x: np.ndarray, w: np.ndarray, stride: int,
+                           padding: int) -> np.ndarray:
+    """Transposed conv from its definition: input voxel i, through kernel tap
+    a, adds sum_c x[c, i] w[c, :, a] onto output s*i + a; then the crop by padding."""
+    n, c, *spatial = x.shape
+    c2, f, k, _, _ = w.shape
+    assert c == c2
+    full = np.zeros((n, f) + tuple((e - 1) * stride + k for e in spatial))
+    for i, j, l in product(*(range(e) for e in spatial)):
+        for a, b, cc in product(range(k), repeat=3):
+            full[:, :, i * stride + a, j * stride + b, l * stride + cc] += (
+                x[:, :, i, j, l] @ w[:, :, a, b, cc])
+    do, ho, wo = ((e - 1) * stride - 2 * padding + k for e in spatial)
+    return full[:, :, padding:padding + do, padding:padding + ho, padding:padding + wo]
+
+
 def finite_diff(f, arrays: dict, h: float = 1e-5) -> dict:
     """Central-difference gradients of scalar f() w.r.t. each array, in place."""
     grads = {}
@@ -151,6 +167,31 @@ def adam_reference(w0: float, grad_fn, lr: float, steps: int,
         v_hat = v / (1 - b2 ** t)
         w -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return w
+
+
+def adam_update_naive(params: dict, grads: dict, state) -> bool:
+    """Bias-corrected Adam with every intermediate its own array, on the
+    Tensors of ``params`` and the moments and step count of an AdamState.
+    A non-finite gradient anywhere rejects the whole step."""
+    if not all(np.all(np.isfinite(g)) for g in grads.values()):
+        return False
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    for name, p in params.items():
+        m = state.first_moment.setdefault(name, np.zeros_like(p.data))
+        v = state.second_moment.setdefault(name, np.zeros_like(p.data))
+        g = grads.get(name)
+        if g is None:
+            continue
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return True
 
 
 def jaccard_naive(a: np.ndarray, b: np.ndarray, thr: float = 0.5) -> float:

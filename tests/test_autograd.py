@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import col2im_naive, conv3d_naive, finite_diff, im2col_naive, max_rel_error
+from oracles import (col2im_naive, conv3d_naive, conv_transpose3d_naive, finite_diff,
+                     im2col_naive, max_rel_error)
 from shapestream.autograd import (
     _col2im,
     _im2col,
@@ -130,6 +131,35 @@ def test_im2col_col2im_equal_per_offset_loops(n, c, spatial, k, stride, padding,
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 2), c=st.integers(1, 3), f=st.integers(1, 3),
+       spatial=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)),
+       k=st.integers(1, 5), stride=st.integers(1, 3), padding=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=2, c=3, f=2, spatial=(2, 3, 4), k=4, stride=2, padding=1, seed=0)
+@example(n=1, c=2, f=3, spatial=(3, 1, 2), k=5, stride=2, padding=2, seed=1)
+@example(n=1, c=1, f=2, spatial=(4, 2, 3), k=2, stride=3, padding=0, seed=2)
+def test_conv_transpose3d_matches_scatter_oracle_and_is_conv3d_adjoint(n, c, f, spatial, k,
+                                                                       stride, padding, seed):
+    """The phase-gathered forward equals the per-voxel scatter from the
+    definition, for every (k, stride, padding), k a multiple of the stride or
+    not, and <conv_transpose3d(x, w), y> = <x, conv3d(y, w)>."""
+    out = conv_transpose3d_output_shape(spatial, k, stride, padding)
+    assume(min(out) >= 1)
+    rng = RNG(seed)
+    x = rng.standard_normal((n, c) + spatial)
+    w = rng.standard_normal((c, f, k, k, k))
+    got = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    want = conv_transpose3d_naive(x, w, stride, padding)
+    assert got.shape == want.shape == (n, f) + out
+    assert np.max(np.abs(got - want)) <= 1e-12
+    y = rng.standard_normal(got.shape)
+    back = conv3d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
+    assert back.shape == x.shape
+    lhs, rhs = np.vdot(got, y), np.vdot(x, back)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 # ---------------------------------------------------------------------------
@@ -173,6 +203,18 @@ def test_grad_accumulates_across_uses():
     y = x * x + x * 3.0  # dy/dx = 2x + 3 = 7
     y.sum().backward()
     np.testing.assert_allclose(x.grad, [7.0])
+
+
+def test_first_gradient_is_an_owned_array():
+    """The identity VJPs of + hand every input the same array; a first
+    gradient kept by reference would let a's second term leak into b's."""
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    s = Tensor(np.array(2.0), requires_grad=True)
+    ((a + b) + a + s).sum().backward()
+    np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 3.0
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import adam_reference
+from oracles import adam_reference, adam_update_naive
 from shapestream.autograd import Tensor
 from shapestream.optim import AdamState, adam_update, gradients_of, zero_gradients
 
@@ -79,3 +79,35 @@ def test_gradient_collection_helpers():
     np.testing.assert_array_equal(grads["b"], np.zeros(3))
     zero_gradients({"a": a, "b": b})
     assert a.grad is None and b.grad is None
+
+
+def test_in_place_update_matches_out_of_place_oracle_bitwise():
+    """adam_update equals the formula with every intermediate its own array,
+    bit for bit, over 7 steps of three parameters of different shapes (one
+    never in ``grads``), with a rejected non-finite step in the middle."""
+    rng = np.random.default_rng(11)
+    shapes = {"w": (30, 20), "b": (50,), "k": (4, 5, 6)}
+    # small parameters and a large rate, so that a step's last bit reaches them
+    start = {name: 1e-2 * rng.standard_normal(shape) for name, shape in shapes.items()}
+    params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+    oracle = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+    state, oracle_state = AdamState(learning_rate=0.1), AdamState(learning_rate=0.1)
+
+    def snapshot(ps, st_):
+        return ([ps[n].data.tobytes() for n in shapes], st_.step_count,
+                [st_.first_moment[n].tobytes() for n in shapes],
+                [st_.second_moment[n].tobytes() for n in shapes])
+
+    for step in range(7):
+        grads = {name: rng.standard_normal(shapes[name]) * 10.0 ** rng.integers(-3, 3)
+                 for name in ("w", "k")}
+        if step == 3:
+            grads["k"][1, 2, 3] = np.inf
+            before = snapshot(params, state)
+        applied = adam_update(params, grads, state)
+        assert applied == adam_update_naive(oracle, grads, oracle_state) == (step != 3)
+        assert snapshot(params, state) == snapshot(oracle, oracle_state)
+        if step == 3:
+            assert snapshot(params, state) == before
+    assert state.step_count == 6
+    assert snapshot(params, state)[0][1] == start["b"].tobytes()
