@@ -14,11 +14,11 @@ encoder/decoder plus a kernelized attention block needs, nothing more.
 from __future__ import annotations
 
 import contextlib
+import functools
 from itertools import product
 from typing import Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -95,6 +95,12 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+    def __iter__(self):
+        """Rows along axis 0, each a tracked slice."""
+        if self.ndim == 0:
+            raise TypeError("iteration over a 0-d tensor")
+        return (self.narrow(0, i, 1).reshape(*self.shape[1:]) for i in range(self.shape[0]))
 
     # -- graph plumbing ------------------------------------------------------
 
@@ -289,14 +295,14 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # conv_transpose3d are conv3d's forward and grad-weight on the im2col of its
 # output gradient, built once by whichever VJP runs first.
 #
-# _im2col copies one strided window view [N, C, k, k, k, Do, Ho, Wo] of the
-# zero-padded input into the columns. _col2im, its adjoint, serves conv3d's
-# input gradient. It writes each kernel offset as a = s*q + p with phase p < s
-# (s the stride): offset a of output position i lands on padded position
-# s*(i + q) + p. So one shifted add per (qa, qb, qc) covers every phase at
-# once, into the padded buffer seen as [N, C, s, s, s, D'/s, H'/s, W'/s].
-# Two phases never share a voxel, and within a phase the adds run in offset
-# order, so the result equals a per-offset scatter bit for bit.
+# _im2col and _col2im share one cached read-only index (_window_index): for
+# each column entry [c*k^3 + offset, position], the flat position in one
+# zero-padded [C, D', H', W'] sample that it reads. _im2col is np.take of that
+# index; _col2im, its adjoint, serving conv3d's input gradient, is one
+# np.bincount of the columns over it. bincount adds in input order, starting
+# from zero, and the columns list offsets before positions, while one offset
+# reads each voxel at most once; so every voxel sums its contributions in
+# offset order, the order of a per-offset scatter-add, bit for bit.
 #
 # conv_transpose3d's forward gathers by phase instead. With the kernel
 # zero-padded to kq = ceil(k/s) taps per phase, output s*j + p (before the crop
@@ -305,7 +311,7 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # [kq, kq, kq, C, s^3*F]. Each tap adds its sub-kernel, used transposed like
 # w2.T (for the default model, that gives the bits of _col2im of w2.T @ x),
 # times the input shifted by q into one zeroed [N, s^3*F, M^3] buffer, in
-# _col2im's order. The input sits after kq - 1 zero planes, rows and columns,
+# offset order. The input sits after kq - 1 zero planes, rows and columns,
 # in M x M planes, so read flat a shifted input is a window, not a copy: a
 # read past a row's end lands in the next row's leading zeros.
 
@@ -318,32 +324,34 @@ def conv_transpose3d_output_shape(spatial: tuple, k: int, stride: int, padding: 
     return tuple((s - 1) * stride - 2 * padding + k for s in spatial)
 
 
+@functools.lru_cache(maxsize=64)
+def _window_index(c: int, spatial: tuple, k: int, stride: int, padding: int) -> np.ndarray:
+    """Flat padded-input position read by each column entry, as [C*k^3, P]."""
+    out = conv3d_output_shape(spatial, k, stride, padding)
+    ch, *axes = np.ix_(range(c), *[range(k)] * 3, *(range(o) for o in out))
+    reads = [a + stride * i for a, i in zip(axes[:3], axes[3:])]
+    index = np.ravel_multi_index((ch, *reads), (c, *(e + 2 * padding for e in spatial)))
+    index = index.reshape(c * k**3, -1)
+    index.flags.writeable = False
+    return index
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, padding: int) -> tuple[np.ndarray, tuple]:
     """x [N,C,D,H,W] -> columns [N, C*k^3, P] with P output positions."""
     n, c, d, h, w = x.shape
-    out = conv3d_output_shape((d, h, w), k, stride, padding)
     xp = np.zeros((n, c, d + 2 * padding, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
     xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w] = x
-    sn, sc, *ss = xp.strides
-    windows = as_strided(xp, (n, c, k, k, k) + out,
-                         (sn, sc, *ss, *(st * stride for st in ss)), writeable=False)
-    return windows.reshape(n, c * k**3, -1), out
+    cols = np.take(xp.reshape(n, -1), _window_index(c, (d, h, w), k, stride, padding), axis=1)
+    return cols, conv3d_output_shape((d, h, w), k, stride, padding)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto the input layout."""
+    """Adjoint of _im2col: sum the columns back onto the input layout."""
     n, c, d, h, w = x_shape
-    s = stride
-    do, ho, wo = conv3d_output_shape((d, h, w), k, s, padding)
-    cols = cols.reshape(n, c, k, k, k, do, ho, wo)
-    folded = [-(-(e + 2 * padding) // s) for e in (d, h, w)]
-    xp = np.zeros((n, c, *(s * f for f in folded)), dtype=cols.dtype)
-    phases = xp.reshape(n, c, folded[0], s, folded[1], s, folded[2], s)
-    phases = phases.transpose(0, 1, 3, 5, 7, 2, 4, 6)
-    for qa, qb, qc in product(range(-(-k // s)), repeat=3):
-        block = cols[:, :, s * qa:s * qa + s, s * qb:s * qb + s, s * qc:s * qc + s]
-        la, lb, lc = block.shape[2:5]
-        phases[:, :, :la, :lb, :lc, qa:qa + do, qb:qb + ho, qc:qc + wo] += block
+    padded = (d + 2 * padding, h + 2 * padding, w + 2 * padding)
+    size = c * padded[0] * padded[1] * padded[2]
+    index = _window_index(c, (d, h, w), k, stride, padding) + size * np.arange(n)[:, None, None]
+    xp = np.bincount(index.ravel(), cols.ravel(), minlength=n * size).reshape(n, c, *padded)
     return xp[:, :, padding:padding + d, padding:padding + h, padding:padding + w]
 
 

@@ -198,8 +198,8 @@ def evaluate_split(model: MvpModel | None, sequences: list, protocol: str, split
     for seq_id, frames, targets in sequences:
         with no_grad():
             preds = targets if model is None else [
-                VoxelGrid(p.data, f.origin, f.voxel_size)
-                for p, f in zip(sequence_predictions(model, frames), frames)]
+                VoxelGrid(p, f.origin, f.voxel_size)
+                for p, f in zip(sequence_predictions(model, frames).data, frames)]
         for i, (pred, target) in enumerate(zip(preds, targets)):
             j = jaccard(pred, target)
             frame_seed = seed + 7919 * i + zlib.crc32(seq_id.encode()) % 65536

@@ -390,10 +390,10 @@ def _frame_values(frame) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
-    """Predictions for every frame of a sequence, from one fresh state carried
-    through passes of at most ``MAX_VIEWS`` frames; gradient-tracked within a
-    pass unless called under ``no_grad``."""
+def sequence_predictions(model: MvpModel, frames: list) -> Tensor:
+    """(L, r, r, r) predictions, iterable by frame, for a sequence from one
+    fresh state carried through passes of at most ``MAX_VIEWS`` frames;
+    gradient-tracked within a pass unless called under ``no_grad``."""
     cfg = model.config
     if not frames:
         raise ValueError("empty sequence")
@@ -402,10 +402,10 @@ def sequence_predictions(model: MvpModel, frames: list) -> list[Tensor]:
         if v.shape != (cfg.resolution,) * 3:
             raise ValueError(
                 f"frame shape {v.shape} does not match model resolution {cfg.resolution}")
-    state, r = model.init_state(), cfg.resolution
+    state = model.init_state()
     passes = [_forward(model, np.stack(values[s : s + MAX_VIEWS]), state)
               for s in range(0, len(values), MAX_VIEWS)]
-    return [p.narrow(0, i, 1).reshape(r, r, r) for p in passes for i in range(p.shape[0])]
+    return passes[0] if len(passes) == 1 else concat(passes)
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
@@ -425,19 +425,15 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     return VoxelGrid(pred.data[0], frame.origin, frame.voxel_size), state
 
 
-def bce_from_predictions(preds: list[Tensor], targets: list) -> Tensor:
-    """Mean BCE over frames and voxels; predictions clamped to [eps, 1-eps]."""
-    if len(preds) != len(targets):
-        raise ValueError(f"{len(preds)} predictions vs {len(targets)} targets")
-    target_values = [_frame_values(t) for t in targets]
-    for t in target_values:
-        if t.min() < 0.0 or t.max() > 1.0:
-            raise ValueError("target values outside [0, 1]")
-    total = None
-    for pred, t in zip(preds, target_values):
-        p = pred.clip(BCE_EPS, 1.0 - BCE_EPS)
-        tt = Tensor(t)
-        bce = -(tt * p.log() + (1.0 - tt) * (1.0 - p).log()).mean()
-        total = bce if total is None else total + bce
-    return total * (1.0 / len(preds))
-
+def bce_from_predictions(preds: Tensor, targets: list) -> Tensor:
+    """Mean BCE over the frames and voxels of (L, r, r, r) predictions and
+    their L targets; predictions clamped to [eps, 1-eps]."""
+    target = np.stack([_frame_values(t) for t in targets]) if len(targets) else np.empty(0)
+    if target.shape != preds.shape or not target.size:
+        raise ValueError(f"targets of shape {target.shape} do not match predictions "
+                         f"of shape {preds.shape}")
+    if target.min() < 0.0 or target.max() > 1.0:
+        raise ValueError("target values outside [0, 1]")
+    p = preds.clip(BCE_EPS, 1.0 - BCE_EPS)
+    tt = Tensor(target)
+    return -(tt * p.log() + (1.0 - tt) * (1.0 - p).log()).mean()

@@ -58,16 +58,17 @@ class TrainResult:
 
 
 def evaluate_sequences(model: MvpModel, sequences: list) -> tuple[float, float]:
-    """(mean BCE, mean Jaccard) over sequences of VoxelGrid frames and
-    targets, each predicted by one gradient-free ``sequence_predictions``."""
+    """(mean BCE, mean Jaccard) per frame over sequences of VoxelGrid frames
+    and targets, each predicted by one gradient-free ``sequence_predictions``
+    and scored by one loss call weighted by its frame count."""
     losses, jaccards = [], []
     for frames, targets in sequences:
         with no_grad():
             preds = sequence_predictions(model, frames)
-        for pred, target in zip(preds, targets):
-            losses.append(bce_from_predictions([pred], [target]).item())
-            jaccards.append(jaccard_values(pred.data, target.values))
-    return float(np.mean(losses)), float(np.mean(jaccards))
+        losses.append(bce_from_predictions(preds, targets).item())
+        jaccards += [jaccard_values(p, t.values) for p, t in zip(preds.data, targets)]
+    counts = [len(targets) for _, targets in sequences]
+    return float(np.average(losses, weights=counts)), float(np.mean(jaccards))
 
 
 def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
@@ -130,8 +131,8 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
         consecutive_failures = 0
         result.steps_run = step
 
-        step_jacc = float(np.mean([jaccard_values(pred.data, tv)
-                                   for pred, tv in zip(preds, target_values)]))
+        step_jacc = float(np.mean([jaccard_values(p, tv)
+                                   for p, tv in zip(preds.data, target_values)]))
         result.rows.append((step, "train", loss, step_jacc))
 
         if step % val_every == 0 or step == steps:

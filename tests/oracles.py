@@ -194,6 +194,12 @@ def adam_update_naive(params: dict, grads: dict, state) -> bool:
     return True
 
 
+def bce_naive(pred: np.ndarray, target: np.ndarray, eps: float) -> float:
+    """Mean binary cross-entropy of one frame, its prediction clamped to [eps, 1-eps]."""
+    p = np.clip(pred, eps, 1.0 - eps)
+    return float(np.mean(-(target * np.log(p) + (1.0 - target) * np.log(1.0 - p))))
+
+
 def jaccard_naive(a: np.ndarray, b: np.ndarray, thr: float = 0.5) -> float:
     """Triple-loop set Jaccard over binarized cubic grids."""
     r = a.shape[0]

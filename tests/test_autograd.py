@@ -10,6 +10,7 @@ from oracles import (col2im_naive, conv3d_naive, conv_transpose3d_naive, finite_
 from shapestream.autograd import (
     _col2im,
     _im2col,
+    _window_index,
     Tensor,
     concat,
     conv3d,
@@ -112,9 +113,11 @@ def test_conv_then_transpose_restores_spatial_shape():
        spatial=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
        k=st.integers(1, 5), stride=st.integers(1, 3), padding=st.integers(0, 2),
        seed=st.integers(0, 2**32 - 1))
+@example(n=2, c=3, spatial=(8, 8, 8), k=3, stride=2, padding=1, seed=0)  # the encoder's
+@example(n=2, c=2, spatial=(4, 4, 4), k=4, stride=2, padding=1, seed=1)  # the decoder's
 def test_im2col_col2im_equal_per_offset_loops(n, c, spatial, k, stride, padding, seed):
-    """The window-view im2col and the phase-folded col2im reproduce the
-    per-offset loops bit for bit, and stay each other's adjoint."""
+    """The flat-index im2col and the bincount col2im reproduce the per-offset
+    loops bit for bit, and stay each other's adjoint."""
     out = conv3d_output_shape(spatial, k, stride, padding)
     if min(out) < 1:
         return
@@ -160,6 +163,21 @@ def test_conv_transpose3d_matches_scatter_oracle_and_is_conv3d_adjoint(n, c, f, 
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
+def test_window_index_is_read_only_and_shared_across_batch_sizes():
+    """The index is keyed without N: columns at N=1 and N=12 build none anew."""
+    index = _window_index(2, (5, 6, 7), 3, 2, 1)
+    assert not index.flags.writeable
+    with pytest.raises(ValueError):
+        index[0, 0] = 0
+    misses = _window_index.cache_info().misses
+    for n in (1, 12):
+        x = RNG(n).standard_normal((n, 2, 5, 6, 7))
+        cols, _ = _im2col(x, 3, 2, 1)
+        _col2im(cols, x.shape, 3, 2, 1)
+    assert _window_index.cache_info().misses == misses
+    assert _window_index(2, (5, 6, 7), 3, 2, 1) is index
+
+
 # ---------------------------------------------------------------------------
 # backward mechanics
 # ---------------------------------------------------------------------------
@@ -189,6 +207,20 @@ def test_backward_twice_rejected():
     loss.backward()
     with pytest.raises(RuntimeError, match="twice"):
         loss.backward()
+
+
+def test_iterated_rows_are_tracked_slices():
+    x = Tensor(RNG(0).standard_normal((3, 2, 4)), requires_grad=True)
+    rows = list(x)
+    assert [r.shape for r in rows] == [(2, 4)] * 3
+    np.testing.assert_array_equal(np.stack([r.data for r in rows]), x.data)
+    sum(r.sum() for r in rows).backward()
+    np.testing.assert_array_equal(x.grad, np.ones((3, 2, 4)))
+
+
+def test_iterating_a_0d_tensor_raises():
+    with pytest.raises(TypeError, match="0-d"):
+        iter(Tensor(1.0))
 
 
 def test_no_grad_blocks_recording():

@@ -1,5 +1,6 @@
 """Model variants: construction, forward semantics, state, gradients."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -131,7 +132,7 @@ def test_forward_step_matches_sequence_unroll(variant):
     state = model.init_state()
     for i, frame in enumerate(frames):
         pred, state = forward_step(model, state, frame)
-        np.testing.assert_allclose(pred.values, unrolled[i].data, atol=1e-12)
+        np.testing.assert_allclose(pred.values, unrolled.data[i], atol=1e-12)
 
 
 def test_forward_step_matches_unroll_softmax_kernel():
@@ -141,7 +142,7 @@ def test_forward_step_matches_unroll_softmax_kernel():
     state = model.init_state()
     for i, frame in enumerate(as_grids(values)):
         pred, state = forward_step(model, state, frame)
-        np.testing.assert_allclose(pred.values, unrolled[i].data, atol=1e-12)
+        np.testing.assert_allclose(pred.values, unrolled.data[i], atol=1e-12)
 
 
 STREAM_CASES = {
@@ -267,7 +268,7 @@ def test_mvp_streams_past_max_views_with_constant_state(monkeypatch):
         sizes.add(state.nbytes)
         assert np.all(np.isfinite(pred.values))
         assert np.all(pred.values > 0.0) and np.all(pred.values < 1.0)
-        np.testing.assert_allclose(pred.values, unrolled[i].data, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(pred.values, unrolled.data[i], rtol=0, atol=1e-9)
     assert len(sizes) == 1
 
 
@@ -309,7 +310,7 @@ def test_single_view_ignores_history_entirely():
     noise = [RNG(99).random((8, 8, 8)) for _ in range(3)] + [values[3]]
     noisy = sequence_predictions(model, [n if i < 3 else values[3]
                                          for i, n in enumerate(noise)])
-    np.testing.assert_array_equal(base[3].data, noisy[3].data)
+    np.testing.assert_array_equal(base.data[3], noisy.data[3])
 
 
 @pytest.mark.parametrize("variant,kernel", [("mvp", "relu"), ("mvp", "softmax"),
@@ -321,7 +322,7 @@ def test_multi_head_streaming_matches_unroll(variant, kernel):
     state = model.init_state()
     for i, frame in enumerate(as_grids(values)):
         pred, state = forward_step(model, state, frame)
-        np.testing.assert_allclose(pred.values, unrolled[i].data, atol=1e-12)
+        np.testing.assert_allclose(pred.values, unrolled.data[i], atol=1e-12)
 
 
 def test_multi_head_state_is_per_head_and_constant_for_mvp():
@@ -360,16 +361,30 @@ def test_mvp_and_mvt_agree_exactly_with_relu_kernel():
 
 def test_bce_zero_when_prediction_equals_target():
     target = (RNG(9).random((4, 4, 4)) > 0.5).astype(np.float64)
-    pred = Tensor(target.copy())
-    loss = bce_from_predictions([pred], [target]).item()
+    pred = Tensor(target[None].copy())
+    loss = bce_from_predictions(pred, [target]).item()
     assert loss < 1e-6
 
 
 def test_bce_half_prediction_is_ln2():
     target = (RNG(10).random((4, 4, 4)) > 0.3).astype(np.float64)
-    pred = Tensor(np.full((4, 4, 4), 0.5))
-    loss = bce_from_predictions([pred], [target]).item()
+    pred = Tensor(np.full((1, 4, 4, 4), 0.5))
+    loss = bce_from_predictions(pred, [target]).item()
     np.testing.assert_allclose(loss, np.log(2.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("target_shape", [(4, 4), (1, 4, 4)])
+def test_bce_rejects_targets_shaped_unlike_predictions(target_shape):
+    """A (4, 4) or (1, 4, 4) target would broadcast against a 4^3 frame."""
+    pred = Tensor(np.full((1, 4, 4, 4), 0.5))
+    shapes = f"{re.escape(str((1, *target_shape)))}.*{re.escape('(1, 4, 4, 4)')}"
+    with pytest.raises(ValueError, match=shapes):
+        bce_from_predictions(pred, [np.zeros(target_shape)])
+
+
+def test_bce_rejects_zero_frames():
+    with pytest.raises(ValueError, match=r"\(0, 4, 4, 4\)"):
+        bce_from_predictions(Tensor(np.zeros((0, 4, 4, 4))), [])
 
 
 def test_target_outside_unit_interval_rejected():

@@ -7,9 +7,10 @@ import pytest
 
 import shapestream.model as model_module
 import shapestream.train as train_module
+from oracles import bce_naive
 from shapestream import autograd
 from shapestream.checkpoint import load_checkpoint, load_model
-from shapestream.model import bce_from_predictions, build_model
+from shapestream.model import BCE_EPS, bce_from_predictions, build_model, sequence_predictions
 from shapestream.optim import adam_update
 from shapestream.train import TrainingDiverged, evaluate_sequences, train, write_metrics_csv
 
@@ -130,6 +131,17 @@ def test_validation_predicts_a_sequence_in_one_forward(monkeypatch):
     monkeypatch.setattr(model_module, "_forward", spy)
     evaluate_sequences(build_model(tiny_config()), toy_dataset(n_seqs=1, frames_per=3))
     assert spy.call_count == 1
+
+
+def test_validation_loss_is_the_frame_mean_over_unequal_sequences():
+    """Sequences of 2 and 5 frames: every frame weighs the same in the loss."""
+    model = build_model(tiny_config())
+    data = toy_dataset(n_seqs=1, frames_per=2) + toy_dataset(n_seqs=1, frames_per=5, seed=1)
+    with autograd.no_grad():
+        want = np.mean([bce_naive(p, t.values, BCE_EPS) for frames, targets in data
+                        for p, t in zip(sequence_predictions(model, frames).data, targets)])
+    loss, _ = evaluate_sequences(model, data)
+    assert abs(loss - want) <= 1e-12
 
 
 def _fail_on_calls(monkeypatch, name: str, failing: set):
