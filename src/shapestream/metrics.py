@@ -5,9 +5,10 @@ F-score follows the mesh route: the predicted grid is meshed with marching
 cubes, surface points are sampled area-uniformly from prediction and ground
 truth, and precision/recall count points within a threshold of the other
 cloud. The threshold is a fraction (default 1%) of the grid's world diagonal.
-The neighbour test is grid-binned: it scores only pairs of points in adjacent
-cells, with the same arithmetic in the same order as a brute-force double
-loop, so it matches that loop bit for bit. The oracle (prediction = target)
+The neighbour test is grid-binned: a table of cell starts finds each point's
+candidates in adjacent cells by lookup, and each candidate pair is scored with
+the same arithmetic in the same order as a brute-force double loop, so it
+matches that loop bit for bit. The oracle (prediction = target)
 meshes and samples each frame once; a model predicts each sequence with one
 gradient-free ``sequence_predictions``, the forward that training unrolls.
 """
@@ -58,43 +59,48 @@ def jaccard(a: VoxelGrid, b: VoxelGrid) -> float:
 
 
 _PAIR_CHUNK = 1 << 20  # pairs scored per block: 3 * 2**20 floats, the old 512 x 2048 x 3
+_MAX_CELLS = 64  # cells per axis at most, so the cell table stays under 66**3 + 1 entries
 
 
 def _within(a: np.ndarray, b: np.ndarray, dist: float) -> tuple[np.ndarray, np.ndarray]:
     """Per point of ``a``, whether ``b`` holds a point closer than ``dist``, and
     per point of ``b`` the same: only pairs in neighbouring grid cells a hair
-    wider than ``dist`` are scored, each with the brute force's expression."""
-    both = np.concatenate([a, b])
-    lo, hi = both.min(axis=0), both.max(axis=0)
-    # the margin outweighs the rounding of (p - lo) / cell; the floor keeps
-    # each axis under 2**20 cells, so the keys fit in int64
-    cell = max(dist, float((hi - lo).max()) * 2.0 ** -20) * (1 + 2.0 ** -20)
-    ix, iy, iz = (np.floor((both - lo) / cell).astype(np.int64) + 1).T
-    ny, nz = iy.max() + 2, iz.max() + 2
+    wider than ``dist`` and than span / ``_MAX_CELLS`` are scored, each with the
+    brute force's expression. A block holds whole points of ``a``: at most
+    ``_PAIR_CHUNK`` pairs, or one point's candidates if that is more."""
+    n = len(a)
+    both = np.concatenate([a, b]).T.copy()
+    lo, hi = both.min(axis=1), both.max(axis=1)
+    # the margin outweighs the rounding of (p - lo) / cell; indices start at 1,
+    # so every cell next to a point has a key
+    cell = max(dist, float((hi - lo).max()) / _MAX_CELLS) * (1 + 2.0 ** -20)
+    nx, ny, nz = (np.floor((hi - lo) / cell).astype(np.int64) + 3).tolist()
+    ix, iy, iz = np.floor((both - lo[:, None]) / cell).astype(np.int64) + 1
     keys = (ix * ny + iy) * nz + iz
-    # both clouds in key order: each row of searchsorted queries ascends, and
-    # the pairs of one block read neighbouring points
-    a_keys, b_keys = keys[: len(a)], keys[len(a):]
-    a_order, b_order = np.argsort(a_keys, kind="stable"), np.argsort(b_keys, kind="stable")
-    b_keys = b_keys[b_order]
-    # each of a point's 3 x 3 neighbouring z-columns is one run of sorted keys
-    columns = a_keys[a_order, None] + (np.add.outer([-ny, 0, ny], [-1, 0, 1]) * nz).ravel()
-    start = np.searchsorted(b_keys, columns - 1).ravel()
-    count = np.searchsorted(b_keys, columns + 1, "right").ravel() - start
-    first = np.concatenate(([0], np.cumsum(count)))
-    ax, ay, az = a[a_order].T.copy()
-    bx, by, bz = b[b_order].T.copy()
-    near_a, near_b = np.zeros(len(a), dtype=bool), np.zeros(len(b), dtype=bool)
+    b_order = np.argsort(keys[n:])
+    # table[k] counts b's points with key < k, so each of a point's 3 x 3
+    # neighbouring z-columns is the run table[lower]:table[lower + 3] of b in key order
+    table = np.concatenate(([0], np.cumsum(np.bincount(keys[n:], minlength=nx * ny * nz))))
+    lower = (keys[:n, None] + (np.add.outer([-ny, 0, ny], [-1, 0, 1]) * nz - 1).ravel()).ravel()
+    end = table[3:].take(lower)
+    count = end - table.take(lower)
+    last = np.cumsum(count)
+    first, shift = np.concatenate(([0], last[8::9])), end - last  # pair k of run r: b[shift[r] + k]
+    a_t, b_t = both[:, :n], both[:, n:][:, b_order]
+    near_a, near_b = np.zeros(n, dtype=bool), np.zeros(len(b), dtype=bool)
     e0 = 0
-    while e0 < len(count):
+    while e0 < n:
         e1 = max(e0 + 1, np.searchsorted(first, first[e0] + _PAIR_CHUNK, "right") - 1)
-        run = np.repeat(np.arange(e0, e1), count[e0:e1])
-        i, j = run // 9, start[run] + np.arange(len(run)) - first[run] + first[e0]
+        c = np.diff(first[e0:e1 + 1])
+        j = np.repeat(shift[9 * e0: 9 * e1], count[9 * e0: 9 * e1]) + np.arange(first[e0], first[e1])
         # the brute force's ((a[i] - b[j]) ** 2).sum(axis=1), term by term
-        dx, dy, dz = ax[i] - bx[j], ay[i] - by[j], az[i] - bz[j]
+        dx, dy, dz = (np.repeat(p[e0:e1], c) - q.take(j) for p, q in zip(a_t, b_t))
         close = np.sqrt(dx * dx + dy * dy + dz * dz) < dist
-        near_a[a_order[i[close]]] = near_b[b_order[j[close]]] = True
+        some = e0 + np.flatnonzero(c)  # reduceat takes no empty run
+        near_a[some] = np.logical_or.reduceat(close, first[some] - first[e0])
+        near_b[j.compress(close)] = True
         e0 = e1
+    near_b[b_order] = near_b.copy()
     return near_a, near_b
 
 

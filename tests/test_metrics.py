@@ -1,5 +1,6 @@
 """Jaccard / F-score against brute-force oracles; split evaluation."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from oracles import fscore_naive, jaccard_naive, min_dists
 from shapestream import metrics
 from shapestream import model as model_module
-from shapestream.metrics import MetricReport, evaluate_split, fscore, jaccard, jaccard_values
+from shapestream.marching import marching_cubes, sample_surface_points
+from shapestream.metrics import (EvalSettings, MetricReport, evaluate_split, fscore, jaccard,
+                                  jaccard_values)
 from shapestream.model import build_model
 from shapestream.voxel import PointCloud, VoxelGrid
 
@@ -167,6 +170,52 @@ def test_neighbour_test_matches_all_pairs_per_point(seed, n, m, layout, dist, of
         near_a, near_b = metrics._within(a, b, dist)
     np.testing.assert_array_equal(near_a, min_dists(a, b) < dist)
     np.testing.assert_array_equal(near_b, min_dists(b, a) < dist)
+
+
+def _eval_cloud(radius: float, seed: int, shift: float = 0.0) -> np.ndarray:
+    """2,048 surface points of an r=16 ball, as ``eval`` samples them."""
+    mesh = marching_cubes(VoxelGrid(_ball_grid(radius=radius), (-0.15,) * 3, 0.3 / 16))
+    return sample_surface_points(mesh, EvalSettings.points, seed).points + shift
+
+
+EVAL_DIST = EvalSettings.threshold * 0.3 * np.sqrt(3.0)  # the default threshold at extent 0.3
+
+
+@pytest.mark.parametrize("case", ["different", "itself", "apart", "fine"])
+def test_neighbour_test_matches_all_pairs_on_eval_clouds(case):
+    # the hypothesis test's clouds fill only a few cells; these fill hundreds.
+    # "apart" puts the clouds many cells apart on every axis, so no pair is a
+    # candidate; "fine" takes a threshold far below span / _MAX_CELLS, so the
+    # cells are as narrow as the floor allows
+    a = _eval_cloud(0.07, seed=1)
+    b, dist = {"different": (_eval_cloud(0.06, seed=2), EVAL_DIST),
+               "itself": (a, EVAL_DIST),
+               "apart": (_eval_cloud(0.06, seed=2, shift=0.5), EVAL_DIST),
+               "fine": (a + RNG(3).normal(0.0, 1e-4, a.shape), 1e-4)}[case]
+    near_a, near_b = metrics._within(a, b, dist)
+    np.testing.assert_array_equal(near_a, min_dists(a, b) < dist)
+    np.testing.assert_array_equal(near_b, min_dists(b, a) < dist)
+    if case == "fine":
+        assert dist * metrics._MAX_CELLS < np.ptp(a) and 0 < near_a.sum() < len(a)
+
+
+def test_neighbour_test_memory_is_bounded_by_the_pair_chunk():
+    # the threshold exceeds both clouds' span, so all 2,048 x 2,048 pairs are
+    # candidates; one float64 array over all of them would take 32 MB. The
+    # balls' centres lie 0.52 apart, so some points have no partner
+    a, b = _eval_cloud(0.07, seed=1), _eval_cloud(0.07, seed=2, shift=0.3)
+    dist = 0.45
+    tracemalloc.start()
+    try:
+        with mock.patch.object(metrics, "_PAIR_CHUNK", 4096):
+            near_a, near_b = metrics._within(a, b, dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
+    np.testing.assert_array_equal(near_a, min_dists(a, b) < dist)
+    np.testing.assert_array_equal(near_b, min_dists(b, a) < dist)
+    assert 0 < near_a.sum() < len(a)
 
 
 # ---------------------------------------------------------------------------
