@@ -45,7 +45,7 @@ def save_checkpoint(path, config: ModelConfig, params: dict[str, Tensor]) -> Non
         encoded = name.encode()
         blob += struct.pack("<H", len(encoded))
         blob += encoded
-        data = tensor.data if isinstance(tensor, Tensor) else np.asarray(tensor)
+        data = tensor.data
         blob += struct.pack("<B", data.ndim)
         for dim in data.shape:
             blob += struct.pack("<I", dim)

@@ -224,9 +224,7 @@ def cmd_bench(args, argv: list) -> int:
     print(format_table(results))
     if out:
         write_results(results, out / "bench.json")
-        _write_provenance(out, argv, settings.seed,
-                          {"lengths": list(settings.lengths), "dim": settings.dim,
-                           "heads": settings.heads, "trials": settings.trials})
+        _write_provenance(out, argv, settings.seed, asdict(settings))
         print(f"wrote {out / 'bench.json'}")
     return EXIT_OK
 

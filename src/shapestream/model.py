@@ -113,11 +113,8 @@ class ModelConfig:
     def feature_maps(self) -> list[attn.KernelFeatureMap]:
         """One feature map per attention head; softmax heads draw distinct
         projections."""
-        if self.kernel == "relu":
-            return [attn.feature_map("relu", d_qk=self.head_qk_dim)
-                    for _ in range(self.attention_heads)]
-        return [attn.feature_map("softmax", d_qk=self.head_qk_dim,
-                                 m=self.feature_count, seed=self.seed + head)
+        return [attn.feature_map(self.kernel, d_qk=self.head_qk_dim, m=self.feature_count,
+                                 seed=self.seed + head)
                 for head in range(self.attention_heads)]
 
     def to_dict(self) -> dict:

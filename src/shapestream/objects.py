@@ -1,8 +1,11 @@
 """Procedural solid objects with exact point-inside tests.
 
 Objects are desk-scale primitives (meters) posed by a rotation and a
-translation. The inside test is the ground-truth occupancy oracle: a voxel
-is object-occupied iff its center is inside. Compound kinds (L-shape,
+translation. A primitive is one list of balls ``|local[axes]| <= r`` over
+disjoint axis groups, which its inside test, ray entry and bounding radius all
+read: a box is three 1-D balls (slabs), a sphere one ball, a cylinder a disc in
+x, y and a slab in z. The inside test is the ground-truth occupancy oracle: a
+voxel is object-occupied iff its center is inside. Compound kinds (L-shape,
 unions) hold child parts expressed in the parent's local frame.
 """
 
@@ -51,65 +54,65 @@ class SolidObject:
             parts=self.parts,
         )
 
+    def _balls(self) -> list[tuple[slice, float]]:
+        """The balls ``|local[:, axes]| <= radius``, over disjoint groups of
+        local axes, whose intersection is this primitive."""
+        dims = self.dimensions
+        if self.kind == "box":
+            return [(slice(k, k + 1), half) for k, half in enumerate(dims["half_extents"])]
+        if self.kind == "sphere":
+            return [(slice(0, 3), dims["radius"])]
+        return [(slice(0, 2), dims["radius"]), (slice(2, 3), dims["half_height"])]  # cylinder
+
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Vectorized world-frame inside test; points (n, 3) -> bool (n,)."""
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
         local = (points - self.translation) @ self.rotation
-        if self.kind == "box":
-            half = self.dimensions["half_extents"]
-            return np.all(np.abs(local) <= half, axis=1)
-        if self.kind == "sphere":
-            return np.einsum("ij,ij->i", local, local) <= self.dimensions["radius"] ** 2
-        if self.kind == "cylinder":
-            rad = self.dimensions["radius"]
-            hh = self.dimensions["half_height"]
-            radial = local[:, 0] ** 2 + local[:, 1] ** 2 <= rad ** 2
-            return radial & (np.abs(local[:, 2]) <= hh)
-        # lshape / union: any child part contains the local point
-        mask = np.zeros(len(local), dtype=bool)
-        for part in self.parts:
-            mask |= part.contains(local)
-        return mask
+        if self.parts:  # any part contains the local point
+            return np.logical_or.reduce([part.contains(local) for part in self.parts])
+        inside = True
+        for axes, radius in self._balls():
+            inside &= np.einsum("ij,ij->i", local[:, axes], local[:, axes]) <= radius ** 2
+        return inside
 
     def ray_entry(self, origin: np.ndarray, dirs: np.ndarray, near: float) -> np.ndarray:
         """Where each ray first enters the object at or past ``near``.
 
         The rays are ``origin + t * dirs``, with one world point ``origin`` (3,)
-        and dirs (n, 3). Returns the (n,) smallest ``t >= near`` at which
-        ``contains`` holds (``near`` itself if the ray is inside there), or
-        ``inf`` where the ray misses."""
-        local_o = (np.asarray(origin, dtype=np.float64) - self.translation) @ self.rotation
-        local_d = np.atleast_2d(np.asarray(dirs, dtype=np.float64)) @ self.rotation
-        if self.kind in ("lshape", "union"):  # a union of convex parts
-            return np.min([p.ray_entry(local_o, local_d, near) for p in self.parts], axis=0)
-        if self.kind == "box":  # slab method: each axis's slab is a 1-D ball
-            t_in, t_out = _ball_span(local_o[:, None], local_d[:, :, None],
-                                     self.dimensions["half_extents"])
-            t_in, t_out = t_in.max(axis=1), t_out.min(axis=1)
-        elif self.kind == "sphere":
-            t_in, t_out = _ball_span(local_o, local_d, self.dimensions["radius"])
-        else:  # a disc in local x, y and a slab in z
-            t_in, t_out = _ball_span(local_o[:2], local_d[:, :2], self.dimensions["radius"])
-            cap_in, cap_out = _ball_span(local_o[2:], local_d[:, 2:],
-                                         self.dimensions["half_height"])
-            t_in, t_out = np.maximum(t_in, cap_in), np.minimum(t_out, cap_out)
-        t_in = np.maximum(t_in, near)
+        and dirs (n, 3) of any length. Returns the (n,) smallest ``t >= near``
+        at which ``contains`` holds (``near`` itself if the ray is inside
+        there), or ``inf`` where the ray misses. Only the rays whose line meets
+        the bounding ball, padded by 1e-6 against rounding, are intersected."""
+        dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+        # a line meets the ball iff (d·c)² >= |d|²(|c|² - R²); |d|² by matvec, for speed
+        center = self.translation - origin
+        reach = self.bounding_radius() * (1.0 + 1e-6)
+        idx = np.flatnonzero((dirs @ center) ** 2 >= (dirs * dirs) @ np.ones(3)
+                             * (center @ center - reach ** 2))
+        t = np.full(len(dirs), np.inf)
+        t[idx] = self._entry(origin, dirs[idx], near)
+        return t
+
+    def _entry(self, origin: np.ndarray, dirs: np.ndarray, near: float) -> np.ndarray:
+        """``ray_entry`` of every ray: a compound's parts are not culled again."""
+        local_o = (origin - self.translation) @ self.rotation
+        local_d = dirs @ self.rotation
+        if self.parts:  # a union of convex parts
+            return np.min([p._entry(local_o, local_d, near) for p in self.parts], axis=0)
+        t_in, t_out = near, np.inf
+        for axes, radius in self._balls():
+            ball_in, ball_out = _ball_span(local_o[axes], local_d[:, axes], radius)
+            t_in, t_out = np.maximum(t_in, ball_in), np.minimum(t_out, ball_out)
         return np.where(t_in <= t_out, t_in, np.inf)
 
     def bounding_radius(self) -> float:
-        """Radius of a world-frame ball around the translation covering the object.
-
-        ``scenes.render_depth_view`` intersects a ray with the object only if
-        its line meets this ball, so every point ``contains`` accepts must lie
-        within this radius."""
-        if self.kind == "box":
-            return float(np.linalg.norm(self.dimensions["half_extents"]))
-        if self.kind == "sphere":
-            return float(self.dimensions["radius"])
-        if self.kind == "cylinder":
-            return float(np.hypot(self.dimensions["radius"], self.dimensions["half_height"]))
-        return max(float(np.linalg.norm(p.translation)) + p.bounding_radius()
-                   for p in self.parts)
+        """Radius of a world-frame ball around the translation covering the object,
+        by which ``ray_entry`` culls: ``sqrt(sum r²)`` over a primitive's balls,
+        tight as their axis groups are disjoint."""
+        if self.parts:
+            return max(float(np.linalg.norm(p.translation)) + p.bounding_radius()
+                       for p in self.parts)
+        return float(np.sqrt(sum(radius ** 2 for _, radius in self._balls())))
 
 
 def _ball_span(o: np.ndarray, d: np.ndarray, radius) -> tuple[np.ndarray, np.ndarray]:

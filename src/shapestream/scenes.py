@@ -117,17 +117,10 @@ def _ray_dirs(pose: CameraPose, image_size: int) -> np.ndarray:
 
 
 def _entries(obj: SolidObject, pose: CameraPose, dirs_world: np.ndarray) -> np.ndarray:
-    """Each ray's ``SolidObject.ray_entry`` into ``obj`` (inf where it misses),
-    intersecting only the rays whose line meets the object's bounding sphere."""
+    """Each ray's ``SolidObject.ray_entry`` into ``obj`` (inf where it misses)."""
     if obj.contains(pose.position[None, :])[0]:
         raise ValueError("camera position lies inside an object")
-    # the 1e-6 pad absorbs rounding: no ray that meets the object is culled
-    center = obj.translation - pose.position
-    radius = obj.bounding_radius() * (1.0 + 1e-6)
-    idx = np.flatnonzero((dirs_world @ center) ** 2 >= center @ center - radius ** 2)
-    t = np.full(len(dirs_world), np.inf)
-    t[idx] = obj.ray_entry(pose.position, dirs_world[idx], RAY_NEAR)
-    return t
+    return obj.ray_entry(pose.position, dirs_world, RAY_NEAR)
 
 
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
@@ -138,9 +131,8 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     (``SolidObject.ray_entry``): a ray hits at its smallest entry into any
     object at or past ``RAY_NEAR`` (``RAY_NEAR`` itself if it is inside an
     object there) if that entry is below ``RAY_FAR``. Back faces and self-occluded regions never
-    appear. No intersection -> empty cloud. An object is intersected only
-    with the rays whose line meets its bounding sphere. The ray directions
-    and each object's entries are kept in ``pose.memo`` when it is a dict.
+    appear. No intersection -> empty cloud. The ray directions and each
+    object's entries are kept in ``pose.memo`` when it is a dict.
     """
     dirs_world = _kept(pose, "rays", lambda: _ray_dirs(pose, image_size))
     hit_t = np.full(len(dirs_world), np.inf)

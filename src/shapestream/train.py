@@ -53,7 +53,6 @@ class TrainResult:
     steps_run: int = 0
     best_val_jaccard: float = float("nan")
     final_train_jaccard: float = float("nan")
-    checkpoint_path: str = ""
     model: MvpModel | None = None
 
 
@@ -86,7 +85,7 @@ def train(config: ModelConfig, train_data: list, val_data: list, steps: int,
     train_data = [(f[: config.train_views], t[: config.train_views]) for f, t in train_data]
     state = AdamState(learning_rate=learning_rate)
     rng = np.random.default_rng(config.seed)
-    result = TrainResult(checkpoint_path=str(checkpoint_path), model=model)
+    result = TrainResult(model=model)
 
     # zero steps must leave the checkpoint at initialization
     save_checkpoint(checkpoint_path, config, model.params)

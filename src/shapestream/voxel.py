@@ -49,11 +49,6 @@ class VoxelGrid:
     def resolution(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def extent(self) -> float:
-        """World edge length of the whole grid."""
-        return self.resolution * self.voxel_size
-
     @classmethod
     def zeros(cls, resolution: int, origin, voxel_size: float) -> "VoxelGrid":
         return cls(np.zeros((resolution,) * 3), origin, voxel_size)

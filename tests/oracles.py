@@ -11,6 +11,7 @@ import numpy as np
 
 from shapestream.marching import _DEGENERATE_AREA, Mesh
 from shapestream.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
+from shapestream.objects import _ball_span
 from shapestream.scenes import (DEFAULT_EXTENT, DEFAULT_IMAGE_SIZE, FOV_DEG, RAY_FAR,
                                  RAY_NEAR, ViewSequence, _grid_origin, _input_grid,
                                  _schedule)
@@ -245,6 +246,47 @@ def min_dists(src: np.ndarray, dst: np.ndarray, chunk: int = 512) -> np.ndarray:
 REFINE_ITERS = 30  # bisection steps per hit after the march
 
 
+def contains_naive(obj, points):
+    """``SolidObject.contains`` written out per kind: a box's per-axis
+    ``|x| <= half``, a sphere's squared norm, a cylinder's disc and slab, a
+    compound's union of parts."""
+    local = (np.atleast_2d(np.asarray(points, dtype=np.float64)) - obj.translation) @ obj.rotation
+    dims = obj.dimensions
+    if obj.kind == "box":
+        return np.all(np.abs(local) <= dims["half_extents"], axis=1)
+    if obj.kind == "sphere":
+        return np.einsum("ij,ij->i", local, local) <= dims["radius"] ** 2
+    if obj.kind == "cylinder":
+        radial = local[:, 0] ** 2 + local[:, 1] ** 2 <= dims["radius"] ** 2
+        return radial & (np.abs(local[:, 2]) <= dims["half_height"])
+    mask = np.zeros(len(local), dtype=bool)
+    for part in obj.parts:
+        mask |= contains_naive(part, local)
+    return mask
+
+
+def ray_entry_naive(obj, origin, dirs, near):
+    """``SolidObject.ray_entry`` written out per kind and applied to every ray,
+    with no bounding-ball cull: a box by the slab method, a sphere as one ball,
+    a cylinder as a disc and a slab, a compound as the nearest entry into a part."""
+    local_o = (np.asarray(origin, dtype=np.float64) - obj.translation) @ obj.rotation
+    local_d = np.atleast_2d(np.asarray(dirs, dtype=np.float64)) @ obj.rotation
+    dims = obj.dimensions
+    if obj.kind in ("lshape", "union"):
+        return np.min([ray_entry_naive(p, local_o, local_d, near) for p in obj.parts], axis=0)
+    if obj.kind == "box":
+        t_in, t_out = _ball_span(local_o[:, None], local_d[:, :, None], dims["half_extents"])
+        t_in, t_out = t_in.max(axis=1), t_out.min(axis=1)
+    elif obj.kind == "sphere":
+        t_in, t_out = _ball_span(local_o, local_d, dims["radius"])
+    else:
+        t_in, t_out = _ball_span(local_o[:2], local_d[:, :2], dims["radius"])
+        cap_in, cap_out = _ball_span(local_o[2:], local_d[:, 2:], dims["half_height"])
+        t_in, t_out = np.maximum(t_in, cap_in), np.minimum(t_out, cap_out)
+    t_in = np.maximum(t_in, near)
+    return np.where(t_in <= t_out, t_in, np.inf)
+
+
 def camera_rays(pose, image_size):
     """World-frame unit direction of each pixel's ray, row by row."""
     w = image_size
@@ -315,8 +357,9 @@ def render_depth_view_naive(objects, pose, image_size, step):
 def make_sequence_naive(protocol, objects, length, seed, resolution=16,
                         extent=DEFAULT_EXTENT, image_size=DEFAULT_IMAGE_SIZE) -> ViewSequence:
     """``scenes.make_sequence`` with nothing reused: each frame tests every
-    voxel center against every object of its scene and casts every ray at
-    every object: the reference for what ``make_sequence`` reuses from a pose's memo."""
+    voxel center against every object of its scene and asks every object for
+    every ray's entry: the reference for what ``make_sequence`` reuses from a
+    pose's memo."""
     centroid = np.zeros(3)
     frames, targets, poses = [], [], []
     for scene, pose, curtain in _schedule(protocol, objects, length, seed, centroid,
@@ -333,12 +376,8 @@ def make_sequence_naive(protocol, objects, length, seed, resolution=16,
             raise ValueError("camera position lies inside an object")
         dirs = camera_rays(pose, image_size)
         hit_t = np.full(len(dirs), np.inf)
-        for obj in scene:  # only rays whose line meets the bounding sphere
-            center = obj.translation - pose.position
-            radius = obj.bounding_radius() * (1.0 + 1e-6)
-            idx = np.flatnonzero((dirs @ center) ** 2 >= center @ center - radius ** 2)
-            hit_t[idx] = np.minimum(hit_t[idx], obj.ray_entry(pose.position, dirs[idx],
-                                                              RAY_NEAR))
+        for obj in scene:
+            hit_t = np.minimum(hit_t, obj.ray_entry(pose.position, dirs, RAY_NEAR))
         hit = hit_t < RAY_FAR
         cloud = pose.world_to_camera(pose.position + hit_t[hit, None] * dirs[hit])
         frames.append(_input_grid(PointCloud(cloud[cloud[:, 0] > curtain]), target))

@@ -643,6 +643,16 @@ def test_bench_command_prints_table(tmp_path, capsys):
     assert (tmp_path / "b" / "bench.json").exists()
 
 
+def test_bench_config_hash_covers_the_kernel(tmp_path):
+    hashes = []
+    for kernel in ("relu", "softmax"):
+        assert main(["bench", "--lengths", "4", "--dim", "8", "--heads", "1", "--trials", "2",
+                     "--kernel", kernel, "--out", str(tmp_path / kernel)]) == 0
+        record = json.loads((tmp_path / kernel / "provenance.json").read_text())
+        hashes.append(record["config_hash"])
+    assert hashes[0] != hashes[1]
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--lengths", "0,4"], "bench lengths must be a list of positive integers"),
     (["--lengths", "x,4"], "argument --lengths: invalid"),

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (camera_rays, fully_occluded_frames, make_sequence_naive,
-                     points_per_occupied_voxel, ray_depths, render_depth_view_naive)
+from oracles import (camera_rays, contains_naive, fully_occluded_frames, make_sequence_naive,
+                     points_per_occupied_voxel, ray_depths, ray_entry_naive,
+                     render_depth_view_naive)
 from shapestream.objects import OBJECT_KINDS, SolidObject, gen_object, random_rotation
 from shapestream.scenes import (
     DEFAULT_EXTENT,
@@ -67,6 +68,86 @@ def test_contained_points_lie_within_bounding_radius(kind, seed, scale, offset):
     inside = obj.contains(pts)
     assert inside.any()
     assert np.linalg.norm(pts[inside] - obj.translation, axis=1).max() <= reach
+
+
+def _surface_points(obj, rng, n=40):
+    """Points on each face, sphere and disc of ``obj``, in its parent's frame.
+    For a primitive at the identity pose, the box faces and corners, the
+    cylinder caps, and the points where a sphere or a cylinder's circle meets
+    a local axis lie exactly on the surface; the rest lie on it up to rounding."""
+    if obj.parts:
+        local = np.vstack([_surface_points(part, rng, n) for part in obj.parts])
+    else:
+        dims = obj.dimensions
+        u = rng.standard_normal((n, 3))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        if obj.kind == "box":
+            half = dims["half_extents"]
+            faces = [rng.uniform(-half, half, size=(n, 3)) for _ in range(6)]
+            for k, face in enumerate(faces):
+                face[:, k // 2] = half[k // 2] * (-1) ** k
+            local = np.vstack(faces + [half * np.sign(u)])  # and the corners
+        elif obj.kind == "sphere":
+            local = np.vstack([dims["radius"] * u, dims["radius"] * np.eye(3),
+                               -dims["radius"] * np.eye(3)])
+        else:
+            rad, hh = dims["radius"], dims["half_height"]
+            ring = rad * np.vstack([u[:, :2] / np.linalg.norm(u[:, :2], axis=1, keepdims=True),
+                                    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+            side = np.column_stack([ring, rng.uniform(-hh, hh, len(ring))])
+            disc = np.vstack([ring, ring * rng.uniform(0, 1, (len(ring), 1))])
+            cap = np.column_stack([disc, np.full(len(disc), hh)])
+            local = np.vstack([side, cap, cap * [1.0, 1.0, -1.0]])
+    return local @ obj.rotation.T + obj.translation
+
+
+def _one_ulp_either_side(points):
+    """``points``, and each coordinate moved one ulp up and one ulp down."""
+    moved = [points]
+    for k in range(3):
+        for toward in (np.inf, -np.inf):
+            q = points.copy()
+            q[:, k] = np.nextafter(q[:, k], toward)
+            moved.append(q)
+    return np.vstack(moved)
+
+
+@pytest.mark.parametrize("posed", [False, True])
+@pytest.mark.parametrize("kind", OBJECT_KINDS)
+def test_ball_description_matches_the_per_kind_reference(kind, posed):
+    # contains and ray_entry read one ball list per primitive; both must give
+    # the per-kind reference's bits, and the bounding-ball cull inside
+    # ray_entry must never drop a hit that the unculled reference finds
+    for seed in range(4):
+        for scale in (1.0, 0.6):
+            rng = RNG(seed)
+            obj = gen_object(kind, seed, scale)
+            if posed:
+                obj = obj.with_pose(random_rotation(rng), rng.uniform(-0.1, 0.1, 3))
+            else:  # local coordinates are the world coordinates, exactly
+                obj = obj.with_pose(np.eye(3), np.zeros(3))
+            reach = obj.bounding_radius()
+            near_surface = _one_ulp_either_side(_surface_points(obj, rng))
+            pts = np.vstack([near_surface, obj.translation
+                             + rng.uniform(-1.3 * reach, 1.3 * reach, size=(4000, 3))])
+            inside = obj.contains(pts)
+            np.testing.assert_array_equal(inside, contains_naive(obj, pts))
+            assert 0 < inside[: len(near_surface)].sum() < len(near_surface)
+
+            targets = np.vstack([near_surface, obj.translation
+                                 + rng.uniform(-reach, reach, size=(1000, 3))])
+            # one origin 0.4 m away, outside the bounding ball, and one inside
+            # it, where nothing is culled
+            for origin in (obj.translation + 0.4 * random_rotation(rng)[0],
+                           obj.translation + rng.uniform(-0.2, 0.2, 3) * reach):
+                aimed = targets - origin
+                spread = rng.standard_normal((2000, 3))
+                dirs = np.vstack([aimed, spread, np.zeros((1, 3))])
+                dirs *= rng.uniform(0.05, 20.0, size=(len(dirs), 1))  # any length
+                got = obj.ray_entry(origin, dirs, RAY_NEAR)
+                np.testing.assert_array_equal(got, ray_entry_naive(obj, origin, dirs,
+                                                                   RAY_NEAR))
+                assert np.isfinite(got[: len(aimed)]).mean() > 0.3
 
 
 def test_sphere_voxel_count_matches_analytic_volume():
