@@ -24,9 +24,10 @@ their own causal-masked weights phi(Q) phi(K)^T, then the memory absorbs
 them. Training starts from fresh memories, streaming passes running ones.
 The exact attention (``exact_causal_attention_t``) differs only in its
 weights, exp(Q K^T - rowmax) or the relu kernel; both share one mask,
-row-sum, fallback and normalize step. ``feature_map_apply_t`` is the one
-feature map: the memory absorbs the same phi(K) that the chunkwise form
-weighs its own rows with. The row-by-row references live with the tests.
+row-sum, fallback and normalize step: the mask for Lq > 1 query rows only,
+the blend only when some row is degenerate. ``feature_map_apply_t`` is the
+one feature map: the memory absorbs the phi(K) that the chunkwise form has
+just weighed its own rows with. The row-by-row references are in the tests.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -120,17 +121,21 @@ class AssociativeMemory:
 
 def memory_update(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray) -> AssociativeMemory:
     """Absorb one (key, value) pair or (c, d_qk)/(c, d) rows in place; size is unchanged."""
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
+    k, v = (np.asarray(a, dtype=np.float64) for a in (k, v))
     if k.ndim not in (1, 2) or k.shape[-1] != mem.fmap.d_qk:
         raise ValueError(f"key shape {k.shape} does not match d_qk={mem.fmap.d_qk}")
     if v.shape != k.shape[:-1] + (mem.M.shape[1],):
         raise ValueError(f"value shape {v.shape} does not match d={mem.M.shape[1]}")
+    return _absorb(mem, np.atleast_2d(k), np.atleast_2d(v))
+
+
+def _absorb(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray, pk=None) -> AssociativeMemory:
+    """Absorb (c, d_qk) keys and (c, d) values; ``pk`` is phi(k) if the caller has it."""
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite key or value rejected; memory unmodified")
-    pk = feature_map_apply_t(mem.fmap, Tensor(np.atleast_2d(k))).data
+    pk = feature_map_apply_t(mem.fmap, Tensor(k)).data if pk is None else pk
     # new arrays, not +=: a recorded graph may still read the old ones
-    mem.M = mem.M + pk.T @ np.atleast_2d(v)
+    mem.M = mem.M + pk.T @ v
     mem.m_vec = mem.m_vec + pk.sum(axis=0)
     mem.count += len(pk)
     return mem
@@ -168,18 +173,21 @@ def _causal_mask(lq: int, length: int) -> np.ndarray:
 
 
 def _causal_average(weights: Tensor, V: Tensor, prefix: tuple | None = None) -> Tensor:
-    """Mask -> row sum -> degenerate-row fallback -> normalise.
+    """Mask (Lq > 1) -> row sum -> degenerate-row fallback (if any) -> normalise.
 
     ``weights`` (Lq, L) are nonnegative similarities of the query rows to every key
     row; ``prefix``, if given, adds a memory's weighted value sum and total weight. A
     row whose total weight is at most EPS_DENOM returns the value at its own position.
     """
     lq, length = weights.shape
-    weights = weights * _causal_mask(lq, length)
+    if lq > 1:
+        weights = weights * _causal_mask(lq, length)
     values, total = weights @ V, weights.sum(axis=1, keepdims=True)
     if prefix is not None:
         values, total = values + prefix[0], total + prefix[1]
     keep = (total.data > EPS_DENOM).astype(np.float64)
+    if keep.all():
+        return values / total
     own = V.narrow(0, length - lq, lq)
     return values / (total + (1.0 - keep)) * keep + own * (1.0 - keep)
 
@@ -202,11 +210,10 @@ def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, memory: Associati
     empty memory's M and m_vec are zero, so its prefix is not added.
     """
     _check_rows(Q, K, V)
-    pq = feature_map_apply_t(memory.fmap, Q)
-    weights = pq @ feature_map_apply_t(memory.fmap, K).T
-    out = _causal_average(weights, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None]))
+    pq, pk = (feature_map_apply_t(memory.fmap, x) for x in (Q, K))
+    out = _causal_average(pq @ pk.T, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None]))
                           if memory.count else None)
-    memory_update(memory, K.data, V.data)
+    _absorb(memory, K.data, V.data, pk.data)
     return out
 
 
@@ -219,6 +226,7 @@ def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,
     _check_rows(Q, K, V)
     if kernel == "relu":
         return _causal_average(Q.relu() @ K.relu().T, V)
-    # later keys are masked out before the row max, so they never reach a row
-    logits = Q @ K.T + np.where(_causal_mask(Q.shape[0], K.shape[0]), 0.0, -np.inf)
+    logits = Q @ K.T
+    if Q.shape[0] > 1:  # later keys are masked out before the row max, so reach no row
+        logits = logits + np.where(_causal_mask(Q.shape[0], K.shape[0]), 0.0, -np.inf)
     return _causal_average((logits - logits.data.max(axis=1, keepdims=True)).exp(), V)

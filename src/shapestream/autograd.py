@@ -208,7 +208,9 @@ class Tensor:
         return _child(self.data.T.copy(), (self, lambda g: g.T))
 
     def narrow(self, axis: int, start: int, length: int):
-        """Contiguous slice along one axis."""
+        """Contiguous slice along one axis; the whole axis is the tensor itself."""
+        if start == 0 and length == self.shape[axis]:
+            return self
         index = [slice(None)] * self.ndim
         index[axis] = slice(start, start + length)
         index = tuple(index)
@@ -273,6 +275,8 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of an empty tensor list")
+    if len(tensors) == 1:
+        return tensors[0]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
@@ -314,6 +318,13 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 # offset order. The input sits after kq - 1 zero planes, rows and columns,
 # in M x M planes, so read flat a shifted input is a window, not a copy: a
 # read past a row's end lands in the next row's leading zeros.
+#
+# Per channel pair the phase form computes (kq*s)^3 prod(M) products, (kq*s/k)^3
+# prod(M/D) times the scatter form's k^3 prod(D). Above PHASE_WASTE_LIMIT times, the
+# forward scatters (conv3d's input gradient; equal outputs). The default decoder's
+# stages waste 3.375, 1.95, 1.42; us phase -> scatter (2 vCPUs, 1 BLAS thread, warm):
+# N=1 130 -> 40, 139 -> 98, 90 -> 83; N=12 800 -> 408, 1227 -> 1432, 791 -> 1185.
+PHASE_WASTE_LIMIT = 2.5
 
 
 def conv3d_output_shape(spatial: tuple, k: int, stride: int, padding: int) -> tuple:
@@ -377,13 +388,15 @@ def _conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride: int,
                               padding: int) -> np.ndarray:
     """x [N,C,D,H,W] and kernels [C,F,k,k,k] -> the transposed conv [N, F, *out]."""
     (n, c, *spatial), (f, k), s = x.shape, w.shape[1:3], stride
-    kq = -(-k // s)
+    kq, out = -(-k // s), conv_transpose3d_output_shape(spatial, k, s, padding)
     e = kq - 1
+    ma, mb, mc = (d + e for d in spatial)
+    if (kq * s) ** 3 * ma * mb * mc > PHASE_WASTE_LIMIT * k**3 * x[0, 0].size:
+        return _conv3d_grad_input(x, w, s, padding, (n, f, *out))
     if k < kq * s:
         w = np.pad(w, ((0, 0), (0, 0)) + ((0, kq * s - k),) * 3)
     taps = w.reshape(c, f, kq, s, kq, s, kq, s).transpose(2, 4, 6, 0, 3, 5, 7, 1)
     taps = taps.reshape(kq, kq, kq, c, s**3 * f)
-    ma, mb, mc = (d + e for d in spatial)
     xp = np.zeros((n, c, ma + e + 1, mb, mc), dtype=x.dtype)  # 1 plane for reads past the end
     xp[:, :, e:ma, e:, e:] = x
     xp, size = xp.reshape(n, c, -1), ma * mb * mc
@@ -393,8 +406,7 @@ def _conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride: int,
         phases += taps[qa, qb, qc].T @ xp[:, :, start:start + size]
     y = phases.reshape(n, s, s, s, f, ma, mb, mc).transpose(0, 4, 5, 1, 6, 2, 7, 3)
     y = y.reshape(n, f, s * ma, s * mb, s * mc)
-    da, db, dc = conv_transpose3d_output_shape(spatial, k, s, padding)
-    return y[:, :, padding:padding + da, padding:padding + db, padding:padding + dc]
+    return y[:, :, padding:padding + out[0], padding:padding + out[1], padding:padding + out[2]]
 
 
 def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int,

@@ -34,6 +34,7 @@ frame, so a step that raises leaves the caller's state as it was.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -131,14 +132,18 @@ class ModelConfig:
         return cls(**raw).validate()
 
 
+@functools.lru_cache(maxsize=8)
+def _position_scales(dim: int) -> np.ndarray:
+    scales = np.power(10000.0, (2 * (np.arange(dim) // 2)) / dim)  # shared: read-only
+    scales.flags.writeable = False
+    return scales
+
+
 def sinusoidal_positions(start: int, length: int, dim: int) -> np.ndarray:
     """Fixed sin/cos encodings of frame indices start..start+length-1, shape
     (length, dim); the formula holds for any index, so streams are unbounded."""
-    pos = np.arange(start, start + length)[:, None]
-    idx = np.arange(dim)[None, :]
-    angles = pos / np.power(10000.0, (2 * (idx // 2)) / dim)
-    table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
-    return table
+    angles = np.arange(start, start + length)[:, None] / _position_scales(dim)
+    return np.where(np.arange(dim) % 2 == 0, np.sin(angles), np.cos(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +407,7 @@ def sequence_predictions(model: MvpModel, frames: list) -> Tensor:
     state = model.init_state()
     passes = [_forward(model, np.stack(values[s : s + MAX_VIEWS]), state)
               for s in range(0, len(values), MAX_VIEWS)]
-    return passes[0] if len(passes) == 1 else concat(passes)
+    return concat(passes)
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid

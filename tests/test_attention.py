@@ -395,12 +395,17 @@ def test_hopfield_style_nearest_neighbor_retrieval():
 def _attention_inputs(rng, L=6, d=4):
     """(Q, K, V, Lq) cases: random rows; all-negative keys, so every relu row
     falls back to its own value; a last key whose logit dominates every row,
-    so the row max must be taken after masking; and a query block of the
-    last Lq < L rows."""
+    so the row max must be taken after masking; a query block of the last
+    Lq < L rows; one query row over all L keys, which no mask applies to; and
+    keys negative in the first two rows only, so that with positive queries
+    relu rows 0 and 1 fall back and the rest do not."""
     Q, K, V = (rng.standard_normal((L, d)) for _ in range(3))
     late = np.abs(K)
     late[-1] = 30.0
-    return [(Q, K, V, L), (Q, -np.abs(K), V, L), (np.abs(Q), late, V, L), (Q, K, V, 2)]
+    some = np.abs(K)
+    some[:2] *= -1.0
+    return [(Q, K, V, L), (Q, -np.abs(K), V, L), (np.abs(Q), late, V, L), (Q, K, V, 2),
+            (Q, K, V, 1), (np.abs(Q), some, V, L)]
 
 
 def test_memory_absorbs_the_chunkwise_features():

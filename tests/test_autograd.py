@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (col2im_naive, conv3d_naive, conv_transpose3d_naive, finite_diff,
                      im2col_naive, max_rel_error)
+from shapestream import autograd
 from shapestream.autograd import (
     _col2im,
     _im2col,
@@ -21,6 +22,16 @@ from shapestream.autograd import (
 )
 
 RNG = np.random.default_rng
+
+# PHASE_WASTE_LIMIT values that force conv_transpose3d's forward into one form
+_FORMS = {"phase": np.inf, "scatter": 0.0}
+
+
+def _transposed(form: str, x: np.ndarray, w: np.ndarray, stride: int = 2,
+                padding: int = 1) -> np.ndarray:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(autograd, "PHASE_WASTE_LIMIT", _FORMS[form])
+        return conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
 
 
 # ---------------------------------------------------------------------------
@@ -144,23 +155,47 @@ def test_im2col_col2im_equal_per_offset_loops(n, c, spatial, k, stride, padding,
 @example(n=1, c=1, f=2, spatial=(4, 2, 3), k=2, stride=3, padding=0, seed=2)
 def test_conv_transpose3d_matches_scatter_oracle_and_is_conv3d_adjoint(n, c, f, spatial, k,
                                                                        stride, padding, seed):
-    """The phase-gathered forward equals the per-voxel scatter from the
-    definition, for every (k, stride, padding), k a multiple of the stride or
-    not, and <conv_transpose3d(x, w), y> = <x, conv3d(y, w)>."""
+    """Both forward forms, the phase gather and the scatter, equal the
+    per-voxel scatter from the definition, for every (k, stride, padding), k
+    a multiple of the stride or not, whichever form the rule picks; and
+    <conv_transpose3d(x, w), y> = <x, conv3d(y, w)>."""
     out = conv_transpose3d_output_shape(spatial, k, stride, padding)
     assume(min(out) >= 1)
     rng = RNG(seed)
     x = rng.standard_normal((n, c) + spatial)
     w = rng.standard_normal((c, f, k, k, k))
-    got = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
     want = conv_transpose3d_naive(x, w, stride, padding)
-    assert got.shape == want.shape == (n, f) + out
-    assert np.max(np.abs(got - want)) <= 1e-12
+    for form in _FORMS:
+        got = _transposed(form, x, w, stride, padding)
+        assert got.shape == want.shape == (n, f) + out, form
+        assert np.max(np.abs(got - want)) <= 1e-12, form
+    got = conv_transpose3d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
     y = rng.standard_normal(got.shape)
     back = conv3d(Tensor(y), Tensor(w), stride=stride, padding=padding).data
     assert back.shape == x.shape
     lhs, rhs = np.vdot(got, y), np.vdot(x, back)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_conv_transpose3d_forms_agree_at_the_decoder_stages(n, monkeypatch):
+    """At the default decoder's three stages (2^3, 4^3 and 8^3 inputs, k=4,
+    stride 2, padding 1) the phase and scatter forms agree to 1e-15 relative,
+    and the rule scatters the first stage only, where the phase form would
+    compute 3.375 times the products."""
+    rng = RNG(n)
+    stages = [(rng.standard_normal((n, c, d, d, d)), rng.standard_normal((c, f, 4, 4, 4)))
+              for c, f, d in ((32, 16, 2), (16, 8, 4), (8, 1, 8))]
+    for x, w in stages:
+        phase, scatter = (_transposed(form, x, w) for form in _FORMS)
+        assert np.max(np.abs(phase - scatter)) <= 1e-15 * np.max(np.abs(scatter))
+    scattered = []
+    scatter_form = autograd._conv3d_grad_input
+    monkeypatch.setattr(autograd, "_conv3d_grad_input",
+                        lambda gy, *rest: scattered.append(gy.shape[2]) or scatter_form(gy, *rest))
+    for x, w in stages:
+        conv_transpose3d(Tensor(x), Tensor(w), stride=2, padding=1)
+    assert scattered == [2]
 
 
 def test_window_index_is_read_only_and_shared_across_batch_sizes():
@@ -310,10 +345,19 @@ def test_grad_broadcast_add_mul():
 
 
 def test_grad_narrow_concat():
+    """Slices and joins; a whole-axis narrow and a one-tensor concat return
+    their input Tensor, and gradients through them still match."""
     rng = RNG(17)
     arrays = {"a": rng.standard_normal((2, 6)), "b": rng.standard_normal((2, 2))}
     _check_grads(
         lambda t: concat([t["a"].narrow(1, 1, 3), t["b"]], axis=1).tanh().sum(),
+        arrays,
+    )
+    a = Tensor(arrays["a"])
+    assert a.narrow(1, 0, 6) is a and a.narrow(0, 0, 2) is a and concat([a], axis=1) is a
+    _check_grads(
+        lambda t: (concat([t["a"].narrow(1, 0, 6)], axis=1) * t["a"].narrow(0, 0, 2)).tanh().sum()
+        + concat([t["b"]]).narrow(1, 0, 2).sum(),
         arrays,
     )
 
