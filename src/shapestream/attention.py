@@ -28,6 +28,8 @@ row-sum, fallback and normalize step: the mask for Lq > 1 query rows only,
 the blend only when some row is degenerate. ``feature_map_apply_t`` is the
 one feature map: the memory absorbs the phi(K) that the chunkwise form has
 just weighed its own rows with. The row-by-row references are in the tests.
+``attend``, the one per-head step of the model and the bench, runs one of the
+two forms on a copy of a head's memory or key/value history.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -37,11 +39,11 @@ and causal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, concat
 
 # division guard for near-empty attention rows
 EPS_DENOM = 1e-9
@@ -230,3 +232,14 @@ def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,
     if Q.shape[0] > 1:  # later keys are masked out before the row max, so reach no row
         logits = logits + np.where(_causal_mask(Q.shape[0], K.shape[0]), 0.0, -np.inf)
     return _causal_average((logits - logits.data.max(axis=1, keepdims=True)).exp(), V)
+
+
+def attend(slot, q: Tensor, k: Tensor, v: Tensor, kernel: str) -> tuple[Tensor, object]:
+    """Causal attention for one head's new rows after its ``slot``, a memory or a
+    ``(keys, values)`` history read with ``kernel``; returns the rows and the
+    advanced slot, leaving ``slot`` as it was (``_absorb`` rebinds the copy's arrays)."""
+    if isinstance(slot, AssociativeMemory):
+        memory = replace(slot)
+        return causal_linear_attention_t(q, k, v, memory), memory
+    keys, values = (concat([Tensor(old), new]) for old, new in zip(slot, (k, v)))
+    return exact_causal_attention_t(q, keys, values, kernel), (keys.data, values.data)

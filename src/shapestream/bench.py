@@ -1,10 +1,11 @@
 """Attention-block throughput: constant-size memory vs stored-history attention.
 
 Measures the median per-frame step cost of the two sequence blocks at several
-history lengths L, with the model's own streaming calls. The mvp step is
-``causal_linear_attention_t`` for the new row on each head's (m, d) memory,
-independent of L; the mvt step appends it to an (L-1)-row key/value history
-and runs ``exact_causal_attention_t`` over all L rows, as ``forward_step`` does.
+history lengths L with ``attention.attend``, the per-head step the model's
+forward calls. The mvp step reads each head's (m, d) memory of L absorbed rows,
+at a cost independent of L; the mvt step extends each head's (L-1)-row
+key/value history by the new row and attends over all L rows. ``attend``
+leaves its slot unchanged, so every timed step starts from the same state.
 ``heads`` independent heads make up each step, as in a multi-head layer.
 """
 
@@ -16,14 +17,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .attention import (
-    KERNEL_KINDS,
-    AssociativeMemory,
-    causal_linear_attention_t,
-    exact_causal_attention_t,
-    feature_map,
-)
-from .autograd import Tensor, concat
+from .attention import KERNEL_KINDS, AssociativeMemory, attend, feature_map
+from .autograd import Tensor
 from .checks import rule
 
 
@@ -45,22 +40,15 @@ def _steps(L: int, fmap, dim: int, heads: int, kernel: str, seed: int) -> dict:
     memories = [AssociativeMemory(fmap, M=rng.standard_normal((fmap.m, dim)),
                                   m_vec=rng.standard_normal(fmap.m) ** 2, count=L)
                 for _ in range(heads)]
-    k_hist = rng.standard_normal((heads, L - 1, dim))
-    v_hist = rng.standard_normal((heads, L - 1, dim))
-    k = rng.standard_normal((heads, 1, dim))
-    v = rng.standard_normal((heads, 1, dim))
-    q = rng.standard_normal((heads, 1, dim))
+    histories = list(zip(rng.standard_normal((heads, L - 1, dim)),
+                         rng.standard_normal((heads, L - 1, dim))))
+    k, v, q = (rng.standard_normal((heads, 1, dim)) for _ in range(3))
 
-    def memory_step():
-        for h, mem in enumerate(memories):
-            causal_linear_attention_t(Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), mem)
+    def step(slots: list) -> None:
+        for h, slot in enumerate(slots):  # each head's result is dropped before the next
+            attend(slot, Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), kernel)
 
-    def history_step():
-        for h in range(heads):
-            exact_causal_attention_t(Tensor(q[h]), concat([Tensor(k_hist[h]), Tensor(k[h])]),
-                                     concat([Tensor(v_hist[h]), Tensor(v[h])]), kernel)
-
-    return {"mvp": memory_step, "mvt": history_step}
+    return {"mvp": lambda: step(memories), "mvt": lambda: step(histories)}
 
 
 def bench_attention(lengths: tuple = BenchSettings.lengths, dim: int = BenchSettings.dim,

@@ -10,8 +10,8 @@ flags given, and checks them before ``--out`` is created.
 Every command is reproducible: outputs are fully determined by the command
 line, the config and the seed, and each output directory carries a
 machine-readable provenance record. Exit codes: 0 success, 2 usage error,
-3 data/config mismatch or a malformed manifest/.vxg/checkpoint file, 4 numeric
-failure (aborted training).
+3 data/config mismatch, an unreadable input path or a malformed
+manifest/.vxg/checkpoint file, 4 numeric failure (aborted training).
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ def _int_list(text: str) -> tuple:
 
 def _prepare_out(path: str, force: bool) -> Path:
     out = Path(path)
+    if out.exists() and not out.is_dir():
+        raise UsageError(f"output path {out} exists and is not a directory")
     if out.exists() and any(out.iterdir()) and not force:
         raise UsageError(f"output directory {out} is not empty; pass --force to reuse it")
     out.mkdir(parents=True, exist_ok=True)
@@ -132,7 +134,7 @@ def cmd_gen_data(args, argv: list) -> int:
     write_dataset(manifest, out)
     _write_provenance(out, argv, seed, {
         "protocol": args.protocol, "objects": args.objects, "res": args.res,
-        "views": args.views,
+        "views": args.views, "seed": seed,
     })
     splits = {s: sum(1 for q in manifest.sequences if q.split == s)
               for s in SPLITS}
@@ -171,7 +173,7 @@ def cmd_train(args, argv: list) -> int:
               "independently")
     result = train(config, train_data, val_data, checkpoint_path=out / "checkpoint.mvpc",
                    metrics_path=out / "metrics.csv", **asdict(training))
-    _write_provenance(out, argv, config.seed, config.to_dict())
+    _write_provenance(out, argv, config.seed, {**config.to_dict(), **asdict(training)})
     print(f"trained {config.variant} ({result.model.parameter_count} parameters) "
           f"for {result.steps_run} steps")
     if np.isfinite(result.best_val_jaccard):
@@ -210,7 +212,8 @@ def cmd_eval(args, argv: list) -> int:
                             export=export, **asdict(settings))
     report.to_csv(out / "frames.csv")
     report.write_summary(out / "summary.json")
-    _write_provenance(out, argv, settings.seed, config_dict)
+    _write_provenance(out, argv, settings.seed, {"model": config_dict, **asdict(settings),
+                                                 "split": args.split, "export": export})
     print(f"{manifest.protocol} {args.split}: mean jaccard {report.mean_jaccard:.4f}, "
           f"mean f-score {report.mean_fscore:.4f} over {len(report.rows)} frames")
     print(f"report: {out / 'summary.json'}")
@@ -298,7 +301,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (MismatchError, FileNotFoundError, VxgError, DatasetError) as err:
+    except (MismatchError, OSError, VxgError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MISMATCH
     except ValueError as err:

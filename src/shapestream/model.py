@@ -34,7 +34,6 @@ frame, so a step that raises leaves the caller's state as it was.
 
 from __future__ import annotations
 
-import functools
 import logging
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -132,18 +131,12 @@ class ModelConfig:
         return cls(**raw).validate()
 
 
-@functools.lru_cache(maxsize=8)
-def _position_scales(dim: int) -> np.ndarray:
-    scales = np.power(10000.0, (2 * (np.arange(dim) // 2)) / dim)  # shared: read-only
-    scales.flags.writeable = False
-    return scales
-
-
 def sinusoidal_positions(start: int, length: int, dim: int) -> np.ndarray:
     """Fixed sin/cos encodings of frame indices start..start+length-1, shape
     (length, dim); the formula holds for any index, so streams are unbounded."""
-    angles = np.arange(start, start + length)[:, None] / _position_scales(dim)
-    return np.where(np.arange(dim) % 2 == 0, np.sin(angles), np.cos(angles))
+    column = np.arange(dim)
+    angles = np.arange(start, start + length)[:, None] / 10000.0 ** (2 * (column // 2) / dim)
+    return np.where(column % 2 == 0, np.sin(angles), np.cos(angles))
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +327,6 @@ def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: tuple) -> tuple[Tensor
     return concat(rows, axis=0), (h.data, c.data)
 
 
-def _attend(model: MvpModel, q: Tensor, k: Tensor, v: Tensor, slot) -> tuple[Tensor, object]:
-    """One head of causal attention for the new rows after the head's slot of
-    the state, an associative memory (mvp) or the stored key/value history
-    (mvt); returns the rows and the slot advanced by them."""
-    cfg = model.config
-    if cfg.variant == "mvp":
-        memory = replace(slot)
-        return attn.causal_linear_attention_t(q, k, v, memory), memory
-    keys, values = (concat([Tensor(old), new]) for old, new in zip(slot, (k, v)))
-    return attn.exact_causal_attention_t(q, keys, values, cfg.kernel), (keys.data, values.data)
-
-
 def _mix(model: MvpModel, l: int, x: Tensor, layer: list) -> Tensor:
     """The sequence-mixing sublayer of block ``l``: the only part of the
     block stack that reads the state, replacing ``layer``'s slots."""
@@ -358,9 +339,9 @@ def _mix(model: MvpModel, l: int, x: Tensor, layer: list) -> Tensor:
         return out
     q, k, v = (x @ p[f"blk{l}.w{name}"] for name in "qkv")
     hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-    heads, layer[:] = zip(*(_attend(model, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
-                                    v.narrow(1, h * hv, hv), layer[h])
-                            for h in range(cfg.attention_heads)))
+    heads, layer[:] = zip(*(attn.attend(slot, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
+                                        v.narrow(1, h * hv, hv), cfg.kernel)
+                            for h, slot in enumerate(layer)))
     return concat(heads, axis=1) @ p[f"blk{l}.wo"]
 
 

@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import exact_attention_naive, linear_attention_naive
+from shapestream import bench
 from shapestream.attention import (
     EPS_DENOM,
     KERNEL_KINDS,
     AssociativeMemory,
     KernelFeatureMap,
+    attend,
     causal_linear_attention_t,
     exact_causal_attention_t,
     feature_map,
@@ -471,3 +473,47 @@ def test_tensor_attention_gradients_flow_to_inputs():
     causal_linear_attention_t(chunk, Tensor(K.data[2:]), Tensor(V.data[2:]), mem
                               ).sum().backward()
     np.testing.assert_allclose(chunk.grad, whole.grad[2:], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", KERNEL_KINDS)
+def test_attend_advances_a_copy_of_either_slot(kernel):
+    """The new row after a two-row slot, a memory or a key/value history: the
+    rows match the whole-sequence forms, the returned slot holds all three
+    rows, and the caller's slot keeps its arrays and count."""
+    rng = RNG(14)
+    Q, K, V = (rng.standard_normal((3, 4)) for _ in range(3))
+    new = [Tensor(a[2:]) for a in (Q, K, V)]
+    fmap = feature_map(kernel, d_qk=4, m=8, seed=5)
+    memory = memory_update(AssociativeMemory.fresh(fmap, d=4), K[:2], V[:2])
+    saved = (memory.M.copy(), memory.m_vec.copy())
+    rows, advanced = attend(memory, *new, kernel)
+    assert (memory.count, advanced.count) == (2, 3)
+    assert np.array_equal(memory.M, saved[0]) and np.array_equal(memory.m_vec, saved[1])
+    np.testing.assert_allclose(rows.data, linear(Q, K, V, fmap)[2:], atol=1e-12)
+    whole = memory_update(AssociativeMemory.fresh(fmap, d=4), K, V)
+    np.testing.assert_allclose(advanced.M, whole.M, atol=1e-12)
+    np.testing.assert_allclose(advanced.m_vec, whole.m_vec, atol=1e-12)
+    history = (K[:2].copy(), V[:2].copy())
+    rows, advanced = attend(history, *new, kernel)
+    assert np.array_equal(history[0], K[:2]) and np.array_equal(history[1], V[:2])
+    assert np.array_equal(advanced[0], K) and np.array_equal(advanced[1], V)
+    np.testing.assert_allclose(rows.data, exact(Q, K, V, kernel)[2:], atol=1e-12)
+
+
+def test_bench_times_attend_from_the_same_state_on_both_slot_kinds(monkeypatch):
+    """Every timed step, the warm-up run included, calls ``attend`` on each
+    head's own slot: an L-row memory or an (L-1)-row history, never advanced."""
+    calls = []
+
+    def spy(slot, *rows):
+        calls.append((slot, slot.count if isinstance(slot, AssociativeMemory) else len(slot[0])))
+        return attend(slot, *rows)
+
+    monkeypatch.setattr(bench, "attend", spy)
+    bench.bench_attention(lengths=(2, 3), dim=4, heads=2, trials=1)
+    assert len(calls) == 16  # 2 lengths x 2 kinds x 2 runs x 2 heads
+    memories = [(slot, n) for slot, n in calls if isinstance(slot, AssociativeMemory)]
+    assert sorted(n for _, n in memories) == [2] * 4 + [3] * 4
+    assert sorted(n for slot, n in calls if isinstance(slot, tuple)) == [1] * 4 + [2] * 4
+    assert len({id(slot) for slot, _ in memories}) == 4
+    assert all(slot.count == n for slot, n in memories)

@@ -653,6 +653,54 @@ def test_bench_config_hash_covers_the_kernel(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+# per command: the flags of every run, then one run per setting that differs in that one
+HASH_RUNS = {
+    "gen-data": (["--protocol", "camera_pan", "--objects", "4", "--res", "8", "--views", "3",
+                  "--seed", "1"], [["--seed", "2"]]),
+    "train": ([*TINY_TRAIN, "--steps", "1"],
+              [["--steps", "2"], ["--lr", "0.01"], ["--val-every", "1"]]),
+    "eval": (["--checkpoint", "oracle", "--points", "32"],
+             [["--points", "64"], ["--threshold", "0.02"], ["--seed", "1"], ["--split", "val"],
+              ["--export", "slices"]]),
+}
+
+
+@pytest.mark.parametrize("command", HASH_RUNS)
+def test_config_hash_covers_every_setting(tmp_path, command):
+    """Two runs that differ in one setting record different config hashes."""
+    data = [] if command == "gen-data" else ["--data", gen(tmp_path)]
+    base, changes = HASH_RUNS[command]
+    hashes = set()
+    for i, change in enumerate([[], *changes]):
+        out = tmp_path / f"run{i}"
+        assert main([command, *data, *base, *change, "--out", str(out)]) == 0
+        hashes.add(json.loads((out / "provenance.json").read_text())["config_hash"])
+    assert len(hashes) == 1 + len(changes)
+
+
+@pytest.mark.parametrize("case,code", [("gen_data_out_file", 2), ("train_data_file", 3),
+                                       ("train_config_dir", 3), ("eval_checkpoint_dir", 3)])
+def test_path_of_the_wrong_kind_exits_with_one_error_line(tmp_path, capsys, case, code):
+    """A file where a directory belongs, or the reverse, is a usage error for
+    --out and an unreadable input otherwise; --out is left as it was."""
+    data = gen(tmp_path)
+    a_file = tmp_path / "file"
+    a_file.write_text("x")
+    out = tmp_path / "out"
+    argv = {
+        "gen_data_out_file": ["gen-data", "--protocol", "camera_pan", "--objects", "4",
+                              "--res", "8", "--views", "3", "--out", str(a_file)],
+        "train_data_file": ["train", "--data", str(a_file), "--out", str(out)],
+        "train_config_dir": ["train", "--data", data, "--config", data, "--out", str(out)],
+        "eval_checkpoint_dir": ["eval", "--checkpoint", data, "--data", data, "--out", str(out)],
+    }[case]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert a_file.read_text() == "x" and not out.exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--lengths", "0,4"], "bench lengths must be a list of positive integers"),
     (["--lengths", "x,4"], "argument --lengths: invalid"),
