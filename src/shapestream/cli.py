@@ -104,7 +104,10 @@ def _merge_settings(args, **defaults) -> dict:
     settings = {f.name: f.default for f in SETTING_FIELDS[args.command]}
     settings.update(defaults, seed=_default_seed())
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
+        try:
+            loaded = json.loads(Path(args.config).read_text())
+        except ValueError as err:  # not UTF-8 text, or not JSON
+            raise UsageError(f"--config {args.config} is not a JSON file: {err}") from err
         if not isinstance(loaded, dict):
             raise UsageError(f"--config {args.config} must hold a JSON object, "
                              f"got {type(loaded).__name__}")
@@ -247,10 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen-data", help="generate a protocol dataset")
     gen.add_argument("--protocol", required=True, choices=PROTOCOLS)
-    gen.add_argument("--objects", type=int, default=10)
-    gen.add_argument("--res", type=int, default=16)
-    gen.add_argument("--views", type=int, default=DEFAULT_VIEWS)
-    gen.add_argument("--seed", type=int, default=None)
+    gen.add_argument("--objects", type=int, default=10,
+                     help="objects to generate (default %(default)s)")
+    gen.add_argument("--res", type=int, default=16,
+                     help="voxel grid resolution (default %(default)s)")
+    gen.add_argument("--views", type=int, default=DEFAULT_VIEWS,
+                     help="views per sequence (default %(default)s)")
+    gen.add_argument("--seed", type=int, default=None, help=SETTING_HELP["seed"].format(0))
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true")
     gen.set_defaults(func=cmd_gen_data)

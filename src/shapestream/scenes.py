@@ -65,12 +65,10 @@ SPLIT_RATIOS = (0.8, 0.1, 0.1)  # of the objects, in SPLITS order
 @dataclass
 class CameraPose:
     """Camera-to-world rigid transform; columns of rotation are the camera
-    x/y/z axes expressed in world coordinates. ``memo`` is a dict only while
-    ``make_sequence`` renders from the pose (see ``_kept``)."""
+    x/y/z axes expressed in world coordinates."""
 
     rotation: np.ndarray
     position: np.ndarray
-    memo: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -94,15 +92,16 @@ def look_at(position, target) -> CameraPose:
     return CameraPose(np.stack([right, down, forward], axis=1), position)
 
 
-def _kept(pose: CameraPose, key, make):
-    """``make()``, computed once per ``key`` while ``pose.memo`` is a dict. A key
-    holds the ``id`` of each object it depends on; while the memo lives,
-    ``make_sequence`` keeps those objects alive and uses one grid and image size."""
-    if pose.memo is None:
+def _kept(memo: dict | None, key, make):
+    """``make()``, computed once per ``key`` of ``memo``, or every time if ``memo``
+    is None. ``make_sequence`` owns the memo of one pose at a time; a key holds
+    the ``id`` of each object it depends on, and ``make_sequence`` keeps those
+    objects alive and uses one grid and image size while the memo lives."""
+    if memo is None:
         return make()
-    if key not in pose.memo:
-        pose.memo[key] = make()
-    return pose.memo[key]
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def _ray_dirs(pose: CameraPose, image_size: int) -> np.ndarray:
@@ -124,7 +123,8 @@ def _entries(obj: SolidObject, pose: CameraPose, dirs_world: np.ndarray) -> np.n
 
 
 def render_depth_view(objects: list[SolidObject], pose: CameraPose,
-                      image_size: int = DEFAULT_IMAGE_SIZE) -> PointCloud:
+                      image_size: int = DEFAULT_IMAGE_SIZE, *,
+                      memo: dict | None = None) -> PointCloud:
     """First-hit surface points of a pinhole raycast, in the camera frame.
 
     One ray per pixel, intersected in closed form with each object
@@ -132,12 +132,12 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
     object at or past ``RAY_NEAR`` (``RAY_NEAR`` itself if it is inside an
     object there) if that entry is below ``RAY_FAR``. Back faces and self-occluded regions never
     appear. No intersection -> empty cloud. The ray directions and each
-    object's entries are kept in ``pose.memo`` when it is a dict.
+    object's entries are kept in ``memo``, the pose's memo, when it is given.
     """
-    dirs_world = _kept(pose, "rays", lambda: _ray_dirs(pose, image_size))
+    dirs_world = _kept(memo, "rays", lambda: _ray_dirs(pose, image_size))
     hit_t = np.full(len(dirs_world), np.inf)
     for obj in objects:
-        entries = _kept(pose, ("entries", id(obj)), lambda: _entries(obj, pose, dirs_world))
+        entries = _kept(memo, ("entries", id(obj)), lambda: _entries(obj, pose, dirs_world))
         hit_t = np.minimum(hit_t, entries)
     hit = hit_t < RAY_FAR
     if not hit.any():
@@ -153,7 +153,6 @@ def render_depth_view(objects: list[SolidObject], pose: CameraPose,
 
 @dataclass
 class ViewSequence:
-    protocol: str
     frames: list[VoxelGrid]       # partial inputs, camera-frame aligned
     targets: list[VoxelGrid]      # full occupancy in the same frame
     camera_poses: list[CameraPose]
@@ -165,15 +164,15 @@ def _grid_origin(pose: CameraPose, centroid_world: np.ndarray, extent: float) ->
 
 
 def _target_grid(objects: list[SolidObject], pose: CameraPose, centroid: np.ndarray,
-                 resolution: int, extent: float) -> VoxelGrid:
+                 resolution: int, extent: float, memo: dict) -> VoxelGrid:
     """Scene occupancy: a voxel is occupied where any object contains its
-    center. The world centers and each object's mask are kept in ``pose.memo``."""
+    center. The world centers and each object's mask are kept in ``memo``."""
     grid = VoxelGrid.zeros(resolution, _grid_origin(pose, centroid, extent),
                            extent / resolution)
-    centers = _kept(pose, "centers", lambda: pose.camera_to_world(grid.voxel_centers()))
+    centers = _kept(memo, "centers", lambda: pose.camera_to_world(grid.voxel_centers()))
     occ = np.zeros(len(centers), dtype=bool)
     for obj in objects:
-        occ |= _kept(pose, ("mask", id(obj)), lambda: obj.contains(centers))
+        occ |= _kept(memo, ("mask", id(obj)), lambda: obj.contains(centers))
     r = resolution
     grid.values[:] = occ.reshape(r, r, r).transpose(2, 1, 0)  # centers are x-fastest
     return grid
@@ -252,9 +251,12 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
 
     One loop builds each frame's target, depth view and curtain-filtered
     input from the schedule, reusing the previous frame's target and view when
-    scene and pose are the same objects. Otherwise the current pose's memo
-    gives what that pose already computed: its voxel centers and rays, and
-    each object's mask and ray entries (slide_behind's camera and occluder)."""
+    scene and pose are the same objects. Otherwise ``memo``, the current
+    pose's, gives what that pose already computed: its voxel centers and rays,
+    and each object's mask and ray entries (slide_behind's camera and
+    occluder). It is cleared when the pose changes, so a pose that recurs
+    starts anew; its ``id`` keys stay valid because the schedule holds every
+    keyed object for the whole loop."""
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
     if length < 1:
@@ -262,24 +264,21 @@ def make_sequence(protocol: str, objects: list[SolidObject], length: int, seed: 
     if protocol in TWO_OBJECT_PROTOCOLS and len(objects) < 2:
         raise ValueError(f"{protocol} needs 2 objects, got {len(objects)}")
     centroid = np.zeros(3)
+    schedule = _schedule(protocol, objects, length, seed, centroid, resolution, extent)
     frames, targets, poses = [], [], []
-    shot_scene = shot_pose = None
-    for scene, pose, curtain in _schedule(protocol, objects, length, seed, centroid,
-                                          resolution, extent):
-        if pose is not shot_pose:  # one memo at a time; a pose that recurs starts anew
-            if shot_pose is not None:
-                shot_pose.memo = None
-            pose.memo = {}
+    memo, shot_scene, shot_pose = {}, None, None
+    for scene, pose, curtain in schedule:
+        if pose is not shot_pose:
+            memo.clear()
         if scene is not shot_scene or pose is not shot_pose:
-            target = _target_grid(scene, pose, centroid, resolution, extent)
-            cloud = render_depth_view(scene, pose, image_size)
+            target = _target_grid(scene, pose, centroid, resolution, extent, memo)
+            cloud = render_depth_view(scene, pose, image_size, memo=memo)
             shot_scene, shot_pose = scene, pose
         visible = PointCloud(cloud.points[cloud.points[:, 0] > curtain])
         frames.append(_input_grid(visible, target))
         targets.append(target)
         poses.append(pose)
-    shot_pose.memo = None
-    return ViewSequence(protocol, frames, targets, poses)
+    return ViewSequence(frames, targets, poses)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +384,10 @@ def split_objects(count: int, seed: int = 0) -> list[str]:
     n_val = max(1, int(np.floor(count * SPLIT_RATIOS[1])))
     n_test = max(1, int(np.floor(count * SPLIT_RATIOS[2])))
     order = np.random.default_rng(seed).permutation(count)
-    labels = [""] * count
-    for pos, obj_idx in enumerate(order):
-        if pos < n_test:
-            labels[obj_idx] = "test"
-        elif pos < n_test + n_val:
-            labels[obj_idx] = "val"
-        else:
-            labels[obj_idx] = "train"
-    return labels
+    labels = np.full(count, "train", dtype=object)
+    labels[order[:n_test]] = "test"
+    labels[order[n_test:n_test + n_val]] = "val"
+    return labels.tolist()
 
 
 def build_manifest(protocol: str, n_objects: int, resolution: int, views: int,

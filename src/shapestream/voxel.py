@@ -33,8 +33,8 @@ class VoxelGrid:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
         self.voxel_size = float(self.voxel_size)
-        r = self.values.shape[0]
-        if self.values.ndim != 3 or self.values.shape != (r, r, r):
+        shape = self.values.shape
+        if len(shape) != 3 or shape != (shape[0],) * 3:
             raise ValueError(f"grid values must be cubic, got shape {self.values.shape}")
         if not (np.isfinite(self.voxel_size) and self.voxel_size > 0):
             raise ValueError(f"voxel_size must be finite and positive, got {self.voxel_size}")

@@ -9,6 +9,7 @@ from itertools import product
 
 import numpy as np
 
+from shapestream import optim
 from shapestream.marching import _DEGENERATE_AREA, Mesh
 from shapestream.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from shapestream.objects import _ball_span
@@ -178,7 +179,7 @@ def adam_update_naive(params: dict, grads: dict, state) -> bool:
         return False
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = optim.BETA1, optim.BETA2
     for name, p in params.items():
         m = state.first_moment.setdefault(name, np.zeros_like(p.data))
         v = state.second_moment.setdefault(name, np.zeros_like(p.data))
@@ -191,7 +192,7 @@ def adam_update_naive(params: dict, grads: dict, state) -> bool:
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        p.data -= state.learning_rate * m_hat / (np.sqrt(v_hat) + optim.EPSILON)
     return True
 
 
@@ -358,8 +359,8 @@ def make_sequence_naive(protocol, objects, length, seed, resolution=16,
                         extent=DEFAULT_EXTENT, image_size=DEFAULT_IMAGE_SIZE) -> ViewSequence:
     """``scenes.make_sequence`` with nothing reused: each frame tests every
     voxel center against every object of its scene and asks every object for
-    every ray's entry: the reference for what ``make_sequence`` reuses from a
-    pose's memo."""
+    every ray's entry: the reference for what ``make_sequence`` reuses from the
+    memo it keeps for the current pose."""
     centroid = np.zeros(3)
     frames, targets, poses = [], [], []
     for scene, pose, curtain in _schedule(protocol, objects, length, seed, centroid,
@@ -383,7 +384,7 @@ def make_sequence_naive(protocol, objects, length, seed, resolution=16,
         frames.append(_input_grid(PointCloud(cloud[cloud[:, 0] > curtain]), target))
         targets.append(target)
         poses.append(pose)
-    return ViewSequence(protocol, frames, targets, poses)
+    return ViewSequence(frames, targets, poses)
 
 
 def fully_occluded_frames(seq: ViewSequence) -> list[int]:

@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import re
 import struct
 import tempfile
 import zlib
@@ -299,6 +300,30 @@ def test_train_config_file_not_an_object_exits_2(tmp_path, capsys):
                  "--config", str(cfg)])
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"steps = 1", b'{"steps": "\xff"}', b"[1, 2]"],
+                         ids=["not_json", "not_utf8", "json_list"])
+def test_train_config_file_that_is_not_a_json_object_names_it_and_exits_2(
+        tmp_path, capsys, content):
+    data = gen(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    run = tmp_path / "run"
+    assert main(["train", "--data", data, "--out", str(run), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {cfg} ") and err.count("\n") == 1
+    assert not run.exists()
+
+
+def test_gen_data_help_shows_its_defaults(capsys):
+    defaults = build_parser().parse_args(["gen-data", "--protocol", "camera_pan", "--out", "x"])
+    assert main(["gen-data", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for flag in ("objects", "res", "views"):
+        assert re.search(rf"--{flag} {flag.upper()} [^-(]*\(default {getattr(defaults, flag)}\)",
+                         text), flag
+    assert "--seed SEED random seed (default $MVP_SEED, else 0)" in text
 
 
 @pytest.mark.parametrize("flags,config,field", [

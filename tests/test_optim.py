@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import adam_reference, adam_update_naive
 from shapestream.autograd import Tensor
+from shapestream import optim
 from shapestream.optim import AdamState, adam_update, gradients_of, zero_gradients
 
 
@@ -28,7 +29,7 @@ def test_first_step_with_unit_gradient_moves_by_lr():
     p = Tensor(np.array([0.5]), requires_grad=True)
     state = AdamState(learning_rate=0.1)
     adam_update({"w": p}, {"w": np.ones(1)}, state)
-    expected = 0.5 - 0.1 / (1.0 + state.epsilon)
+    expected = 0.5 - 0.1 / (1.0 + optim.EPSILON)
     np.testing.assert_allclose(p.data, [expected], rtol=0, atol=1e-15)
 
 

@@ -378,6 +378,22 @@ def test_chord_through_ray_near_hits_at_ray_near():
     np.testing.assert_allclose(np.linalg.norm(cloud.points, axis=1), RAY_NEAR, rtol=0, atol=1e-15)
 
 
+def test_render_with_a_memo_reuses_its_entries():
+    objects = [gen_object("union", 3, 0.6), gen_object("lshape", 4, 0.6)]
+    pose = look_at((0.5, 0.1, 0.2), (0.0, 0.0, 0.0))
+    fresh = render_depth_view(objects, pose, image_size=16)
+    memo = {}
+    first = render_depth_view(objects, pose, image_size=16, memo=memo)
+    with mock.patch.object(SolidObject, "ray_entry", autospec=True,
+                           side_effect=SolidObject.ray_entry) as spy:
+        again = render_depth_view(objects, pose, image_size=16, memo=memo)
+        assert spy.call_count == 0
+        render_depth_view(objects, pose, image_size=16)
+        assert spy.call_count >= len(objects)  # without a memo, everything is computed
+    assert len(fresh) > 0
+    assert np.array_equal(first.points, fresh.points) and np.array_equal(again.points, fresh.points)
+
+
 def _axis_aligned_scene(name):
     side = look_at((0.5, 0.0, 0.0), (0.0, 0.0, 0.0))
     box = SolidObject("box", {"half_extents": np.array([0.04, 0.05, 0.03])})
@@ -512,7 +528,6 @@ def test_sequence_equals_per_frame_reference(protocol, resolution, seed):
         for g, w in zip(got.camera_poses, want.camera_poses):
             assert np.array_equal(g.rotation, w.rotation)
             assert np.array_equal(g.position, w.position)
-            assert g.memo is None
 
 
 def _contains_calls_on_centers(protocol, objects, length, resolution=8):

@@ -35,8 +35,9 @@ def test_grid_rejects_out_of_range_values():
 
 
 def test_grid_rejects_non_cubic():
-    with pytest.raises(ValueError, match="cubic"):
-        VoxelGrid(np.zeros((4, 4, 5)), (0, 0, 0), 0.1)
+    for values in (np.zeros((4, 4, 5)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="cubic"):
+            VoxelGrid(values, (0, 0, 0), 0.1)
 
 
 def test_binarization_idempotent():
