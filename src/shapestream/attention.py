@@ -29,7 +29,9 @@ the blend only when some row is degenerate. ``feature_map_apply_t`` is the
 one feature map: the memory absorbs the phi(K) that the chunkwise form has
 just weighed its own rows with. The row-by-row references are in the tests.
 ``attend``, the one per-head step of the model and the bench, runs one of the
-two forms on a copy of a head's memory or key/value history.
+two forms on a copy of a head's memory or key/value history. Rows are Tensors
+in training and plain arrays in no-grad passes and the bench, which build no
+Tensor; the autograd ops give both the same bits.
 
 Degenerate rows: with the relu map all attention weights for a row can be
 exactly zero. One rule covers every form: a row whose total weight is at
@@ -43,7 +45,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autograd import Tensor, concat
+from .autograd import concat, data_of, exp, narrow, relu, transpose
 
 # division guard for near-empty attention rows
 EPS_DENOM = 1e-9
@@ -88,14 +90,13 @@ def feature_map(kind: str, d_qk: int, m: int | None = None, seed: int = 0
     return KernelFeatureMap(kind="softmax", d_qk=d_qk, m=m, seed=seed)
 
 
-def feature_map_apply_t(fmap: KernelFeatureMap, x: Tensor) -> Tensor:
-    """Differentiable phi for a row tensor of shape (L, d_qk); output (L, m)."""
+def feature_map_apply_t(fmap: KernelFeatureMap, x):
+    """phi of (L, d_qk) rows, a Tensor (differentiable) or an array; output (L, m)."""
     if fmap.kind == "relu":
-        return x.relu()
-    w = Tensor(fmap.projection)
-    proj = x @ w.T                                   # (L, m)
+        return relu(x)
+    proj = x @ transpose(fmap.projection)            # (L, m)
     sq = (x * x).sum(axis=1, keepdims=True) * 0.5    # (L, 1)
-    return (proj - sq).exp() * (1.0 / np.sqrt(fmap.m))
+    return exp(proj - sq) * (1.0 / np.sqrt(fmap.m))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,7 @@ def _absorb(mem: AssociativeMemory, k: np.ndarray, v: np.ndarray, pk=None) -> As
     """Absorb (c, d_qk) keys and (c, d) values; ``pk`` is phi(k) if the caller has it."""
     if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite key or value rejected; memory unmodified")
-    pk = feature_map_apply_t(mem.fmap, Tensor(k)).data if pk is None else pk
+    pk = feature_map_apply_t(mem.fmap, k) if pk is None else pk
     # new arrays, not +=: a recorded graph may still read the old ones
     mem.M = mem.M + pk.T @ v
     mem.m_vec = mem.m_vec + pk.sum(axis=0)
@@ -156,7 +157,7 @@ def memory_query(mem: AssociativeMemory, q: np.ndarray, fallback: np.ndarray
     if q.shape != (mem.fmap.d_qk,) or not np.all(np.isfinite(q)):
         raise ValueError(f"query must be one finite row of d_qk={mem.fmap.d_qk} values, "
                          f"got shape {q.shape}")
-    pq = feature_map_apply_t(mem.fmap, Tensor(q[None])).data[0]
+    pq = feature_map_apply_t(mem.fmap, q[None])[0]
     denom = float(pq @ mem.m_vec)
     if denom <= EPS_DENOM:
         return np.asarray(fallback, dtype=np.float64).copy()
@@ -174,7 +175,7 @@ def _causal_mask(lq: int, length: int) -> np.ndarray:
     return np.tri(lq, length, length - lq)
 
 
-def _causal_average(weights: Tensor, V: Tensor, prefix: tuple | None = None) -> Tensor:
+def _causal_average(weights, V, prefix: tuple | None = None):
     """Mask (Lq > 1) -> row sum -> degenerate-row fallback (if any) -> normalise.
 
     ``weights`` (Lq, L) are nonnegative similarities of the query rows to every key
@@ -187,14 +188,14 @@ def _causal_average(weights: Tensor, V: Tensor, prefix: tuple | None = None) -> 
     values, total = weights @ V, weights.sum(axis=1, keepdims=True)
     if prefix is not None:
         values, total = values + prefix[0], total + prefix[1]
-    keep = (total.data > EPS_DENOM).astype(np.float64)
+    keep = (data_of(total) > EPS_DENOM).astype(np.float64)
     if keep.all():
         return values / total
-    own = V.narrow(0, length - lq, lq)
+    own = narrow(V, 0, length - lq, lq)
     return values / (total + (1.0 - keep)) * keep + own * (1.0 - keep)
 
 
-def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
+def _check_rows(Q, K, V) -> None:
     if K.shape[0] < 1:
         raise ValueError("empty sequence")
     if V.shape[0] != K.shape[0] or not 1 <= Q.shape[0] <= K.shape[0]:
@@ -202,8 +203,8 @@ def _check_rows(Q: Tensor, K: Tensor, V: Tensor) -> None:
                          f"{Q.shape}, {K.shape}, {V.shape}")
 
 
-def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, memory: AssociativeMemory) -> Tensor:
-    """Gradient-tracked linear attention, chunkwise form.
+def causal_linear_attention_t(Q, K, V, memory: AssociativeMemory):
+    """Linear attention, chunkwise form; gradient-tracked on Tensor rows.
 
     K and V hold L rows; Q holds the last Lq <= L query rows. Row a equals
     a memory query after absorbing ``memory``'s rows and then the key/value
@@ -213,33 +214,32 @@ def causal_linear_attention_t(Q: Tensor, K: Tensor, V: Tensor, memory: Associati
     """
     _check_rows(Q, K, V)
     pq, pk = (feature_map_apply_t(memory.fmap, x) for x in (Q, K))
-    out = _causal_average(pq @ pk.T, V, (pq @ Tensor(memory.M), pq @ Tensor(memory.m_vec[:, None]))
+    out = _causal_average(pq @ transpose(pk), V, (pq @ memory.M, pq @ memory.m_vec[:, None])
                           if memory.count else None)
-    _absorb(memory, K.data, V.data, pk.data)
+    _absorb(memory, data_of(K), data_of(V), data_of(pk))
     return out
 
 
-def exact_causal_attention_t(Q: Tensor, K: Tensor, V: Tensor,
-                             kernel: str = "softmax") -> Tensor:
-    """Gradient-tracked quadratic attention over (L, dim) rows; Q holds the
-    last Lq <= L query rows, as in ``causal_linear_attention_t``."""
+def exact_causal_attention_t(Q, K, V, kernel: str = "softmax"):
+    """Quadratic attention over (L, dim) rows, gradient-tracked on Tensor rows;
+    Q holds the last Lq <= L query rows, as in ``causal_linear_attention_t``."""
     if kernel not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNEL_KINDS}")
     _check_rows(Q, K, V)
     if kernel == "relu":
-        return _causal_average(Q.relu() @ K.relu().T, V)
-    logits = Q @ K.T
+        return _causal_average(relu(Q) @ transpose(relu(K)), V)
+    logits = Q @ transpose(K)
     if Q.shape[0] > 1:  # later keys are masked out before the row max, so reach no row
         logits = logits + np.where(_causal_mask(Q.shape[0], K.shape[0]), 0.0, -np.inf)
-    return _causal_average((logits - logits.data.max(axis=1, keepdims=True)).exp(), V)
+    return _causal_average(exp(logits - data_of(logits).max(axis=1, keepdims=True)), V)
 
 
-def attend(slot, q: Tensor, k: Tensor, v: Tensor, kernel: str) -> tuple[Tensor, object]:
+def attend(slot, q, k, v, kernel: str) -> tuple:
     """Causal attention for one head's new rows after its ``slot``, a memory or a
     ``(keys, values)`` history read with ``kernel``; returns the rows and the
     advanced slot, leaving ``slot`` as it was (``_absorb`` rebinds the copy's arrays)."""
     if isinstance(slot, AssociativeMemory):
         memory = replace(slot)
         return causal_linear_attention_t(q, k, v, memory), memory
-    keys, values = (concat([Tensor(old), new]) for old, new in zip(slot, (k, v)))
-    return exact_causal_attention_t(q, keys, values, kernel), (keys.data, values.data)
+    keys, values = (concat([old, new]) for old, new in zip(slot, (k, v)))
+    return exact_causal_attention_t(q, keys, values, kernel), (data_of(keys), data_of(values))

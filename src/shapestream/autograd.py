@@ -9,6 +9,14 @@ record in reverse topological order, sums each VJP down to its input's
 shape, and then frees the record, so a graph can be consumed exactly once.
 The operation set is deliberately small: everything a 3D conv
 encoder/decoder plus a kernelized attention block needs, nothing more.
+
+Training runs on Tensors; a no-grad pass (validation, eval, streaming) runs on
+plain ndarrays and builds no Tensor. The module ops take either kind: the Tensor
+op if an operand is a Tensor, else its numpy arithmetic in its order, for the
+same bits. So the transpose and ``narrow`` copy, as the Tensor ops do (a matmul
+with a transposed view may sum in another order), and the mean multiplies by
+1/count (``ndarray.mean`` divides). With ``Tensor.__array_ufunc__ = None``,
+``ndarray + Tensor`` is the Tensor's reflected op.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ import numpy as np
 __all__ = [
     "Tensor",
     "no_grad",
+    "is_grad_enabled", "data_of",
+    "relu", "sigmoid", "tanh", "exp", "narrow", "transpose", "mean",
     "concat",
     "conv3d",
     "conv_transpose3d",
@@ -43,6 +53,10 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def is_grad_enabled() -> bool:
+    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -69,6 +83,7 @@ class Tensor:
     """N-dimensional float64 value, optionally tracked for gradients."""
 
     __slots__ = ("data", "requires_grad", "grad", "_inputs")
+    __array_ufunc__ = None  # ndarray op Tensor defers to the Tensor's reflected op
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -195,32 +210,16 @@ class Tensor:
         return _child(self.data @ other.data,
                       (self, lambda g: g @ other.data.T), (other, lambda g: self.data.T @ g))
 
+    def __rmatmul__(self, other):
+        return self._coerce(other) @ self
+
     # -- shape ops -------------------------------------------------------------
 
     def reshape(self, *shape):
         old_shape = self.shape
         return _child(self.data.reshape(shape), (self, lambda g: g.reshape(old_shape)))
 
-    @property
-    def T(self):
-        if self.ndim != 2:
-            raise ValueError("T is defined for 2-D tensors only")
-        return _child(self.data.T.copy(), (self, lambda g: g.T))
-
-    def narrow(self, axis: int, start: int, length: int):
-        """Contiguous slice along one axis; the whole axis is the tensor itself."""
-        if start == 0 and length == self.shape[axis]:
-            return self
-        index = [slice(None)] * self.ndim
-        index[axis] = slice(start, start + length)
-        index = tuple(index)
-
-        def vjp(g):
-            full = np.zeros_like(self.data)
-            full[index] = g
-            return full
-
-        return _child(self.data[index].copy(), (self, vjp))
+    # T, narrow, mean, relu, sigmoid, tanh and exp: the module functions below
 
     # -- reductions --------------------------------------------------------------
 
@@ -232,28 +231,7 @@ class Tensor:
 
         return _child(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.size if axis is None else self.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # -- elementwise nonlinearities ------------------------------------------------
-
-    def relu(self):
-        return _child(np.maximum(self.data, 0.0), (self, lambda g: g * (self.data > 0.0)))
-
-    def sigmoid(self):
-        x = self.data
-        out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                            np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        return _child(out_data, (self, lambda g: g * out_data * (1.0 - out_data)))
-
-    def tanh(self):
-        out_data = np.tanh(self.data)
-        return _child(out_data, (self, lambda g: g * (1.0 - out_data * out_data)))
-
-    def exp(self):
-        out_data = np.exp(self.data)
-        return _child(out_data, (self, lambda g: g * out_data))
 
     def log(self):
         return _child(np.log(self.data), (self, lambda g: g / self.data))
@@ -262,28 +240,104 @@ class Tensor:
         return _child(self.data ** exponent,
                       (self, lambda g: g * exponent * self.data ** (exponent - 1.0)))
 
+    __pow__ = pow
+
     def clip(self, lo: float, hi: float):
         """Clamp values; gradient flows only strictly inside the bounds."""
         return _child(np.clip(self.data, lo, hi),
                       (self, lambda g: g * ((self.data > lo) & (self.data < hi))))
 
 
-# -- multi-tensor ops ------------------------------------------------------------
+# -- the ops on a Tensor or a plain array (see the module docstring) ---------------
 
 
-def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
+def data_of(x) -> np.ndarray:
+    """The array of a Tensor, or the array itself."""
+    return x.data if isinstance(x, Tensor) else x
+
+
+def _tensors(*xs) -> tuple | None:
+    """All of ``xs`` as Tensors if any is one (the recording path), else None."""
+    return tuple(map(Tensor._coerce, xs)) if Tensor in map(type, xs) else None
+
+
+def _along(ndim: int, axis: int, start: int, stop: int) -> tuple:
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return tuple(index)
+
+
+def transpose(x):
+    """The 2-D transpose, a copy."""
+    if x.ndim != 2:
+        raise ValueError("T is defined for 2-D tensors only")
+    if not isinstance(x, Tensor):
+        return x.T.copy()
+    return _child(x.data.T.copy(), (x, lambda g: g.T))
+
+
+def narrow(x, axis: int, start: int, length: int):
+    """Contiguous slice along one axis, a copy; the whole axis is the operand itself."""
+    if start == 0 and length == x.shape[axis]:
+        return x
+    index = _along(x.ndim, axis, start, start + length)
+    if not isinstance(x, Tensor):
+        return x[index].copy()
+
+    def vjp(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        return full
+
+    return _child(x.data[index].copy(), (x, vjp))
+
+
+def mean(x, axis=None, keepdims: bool = False):
+    count = x.size if axis is None else x.shape[axis]
+    return x.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+
+
+def _elementwise(f, vjp):
+    """``f`` on an array; on a Tensor, ``f`` of its data recorded with ``vjp(g, x, out)``."""
+    def op(x):
+        if not isinstance(x, Tensor):
+            return f(x)
+        out = f(x.data)
+        return _child(out, (x, lambda g: vjp(g, x.data, out)))
+    return op
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    np.divide(e, d, out=e)  # in place, so no more arrays are alive than in three exp calls
+    return np.where(x >= 0, np.divide(1.0, d, out=d), e)
+
+
+relu = _elementwise(lambda x: np.maximum(x, 0.0), lambda g, x, out: g * (x > 0.0))
+sigmoid = _elementwise(_sigmoid, lambda g, x, out: g * out * (1.0 - out))
+tanh = _elementwise(np.tanh, lambda g, x, out: g * (1.0 - out * out))
+exp = _elementwise(np.exp, lambda g, x, out: g * out)
+Tensor.T = property(transpose)
+Tensor.narrow, Tensor.mean = narrow, mean
+Tensor.relu, Tensor.sigmoid, Tensor.tanh, Tensor.exp = relu, sigmoid, tanh, exp
+
+
+def concat(tensors: Iterable, axis: int = 0):
+    """Join along ``axis``; recorded if any operand is a Tensor."""
     tensors = list(tensors)
     if not tensors:
         raise ValueError("concat of an empty tensor list")
     if len(tensors) == 1:
         return tensors[0]
+    if (lifted := _tensors(*tensors)) is None:
+        return np.concatenate(tensors, axis=axis)
+    tensors = lifted
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
     offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def slice_vjp(start, stop):
-        index = [slice(None)] * out_data.ndim
-        index[axis] = slice(start, stop)
-        index = tuple(index)
+        index = _along(out_data.ndim, axis, start, stop)
         return lambda g: g[index]
 
     return _child(out_data, *((t, slice_vjp(start, stop))
@@ -409,8 +463,7 @@ def _conv_transpose3d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     return y[:, :, padding:padding + out[0], padding:padding + out[1], padding:padding + out[2]]
 
 
-def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int,
-                in_axis: int):
+def _check_conv(name: str, x, kernels, stride: int, padding: int, in_axis: int):
     """Reject malformed conv arguments before any numpy op sees them."""
     if x.ndim != 5 or kernels.ndim != 5:
         raise ValueError(f"{name} expects 5-D input/kernels, got {x.shape}, {kernels.shape}")
@@ -430,13 +483,16 @@ def _check_conv(name: str, x: Tensor, kernels: Tensor, stride: int, padding: int
         )
 
 
-def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv3d(x, kernels, stride: int = 1, padding: int = 0):
     """Cross-correlation of x [N,C,D,H,W] with kernels [F,C,k,k,k]."""
     _check_conv("conv3d", x, kernels, stride, padding, in_axis=1)
     k = kernels.shape[2]
     if any(k > s + 2 * padding for s in x.shape[2:]):
         raise ValueError(f"kernel size {k} exceeds padded input extent {x.shape[2:]}")
+    if (lifted := _tensors(x, kernels)) is None:
+        return _conv3d_forward(kernels, *_im2col(x, k, stride, padding))
 
+    x, kernels = lifted
     x_shape, w_shape = x.shape, kernels.shape
     return _child(
         _conv3d_forward(kernels.data, *_im2col(x.data, k, stride, padding)),
@@ -446,7 +502,7 @@ def conv3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     )
 
 
-def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv_transpose3d(x, kernels, stride: int = 1, padding: int = 0):
     """Transposed conv of x [N,C,D,H,W] with kernels [C,F,k,k,k]; inverts the
     conv3d shape map for the same (k, stride, padding)."""
     _check_conv("conv_transpose3d", x, kernels, stride, padding, in_axis=0)
@@ -454,7 +510,10 @@ def conv_transpose3d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int =
     spatial_out = conv_transpose3d_output_shape(x.shape[2:], k, stride, padding)
     if any(s < 1 for s in spatial_out):
         raise ValueError(f"transposed conv output extent {spatial_out} is empty")
+    if (lifted := _tensors(x, kernels)) is None:
+        return _conv_transpose3d_forward(x, kernels, stride, padding)
 
+    x, kernels = lifted
     w_shape = kernels.shape
     g_cols = []  # im2col of the output gradient, built by whichever VJP runs first
 

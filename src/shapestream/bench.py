@@ -6,7 +6,8 @@ forward calls. The mvp step reads each head's (m, d) memory of L absorbed rows,
 at a cost independent of L; the mvt step extends each head's (L-1)-row
 key/value history by the new row and attends over all L rows. ``attend``
 leaves its slot unchanged, so every timed step starts from the same state.
-``heads`` independent heads make up each step, as in a multi-head layer.
+``heads`` independent heads make up each step, as in a multi-head layer. The
+rows are plain arrays, so this is the no-grad step that ``forward_step`` runs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from time import perf_counter
 import numpy as np
 
 from .attention import KERNEL_KINDS, AssociativeMemory, attend, feature_map
-from .autograd import Tensor
 from .checks import rule
 
 
@@ -46,7 +46,7 @@ def _steps(L: int, fmap, dim: int, heads: int, kernel: str, seed: int) -> dict:
 
     def step(slots: list) -> None:
         for h, slot in enumerate(slots):  # each head's result is dropped before the next
-            attend(slot, Tensor(q[h]), Tensor(k[h]), Tensor(v[h]), kernel)
+            attend(slot, q[h], k[h], v[h], kernel)
 
     return {"mvp": lambda: step(memories), "mvt": lambda: step(histories)}
 

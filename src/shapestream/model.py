@@ -29,7 +29,9 @@ training (with gradients), validation and eval (under ``no_grad``), carrying
 one state through passes of at most ``MAX_VIEWS`` frames (no gradient flows
 between passes; 3, 6 or 12 training views fit one), so a sequence may be of
 any length. ``forward_step`` advances a copy of the caller's state by one
-frame, so a step that raises leaves the caller's state as it was.
+frame, so a step that raises leaves the caller's state as it was. Under
+``no_grad`` the forward runs on the parameters' arrays and builds no Tensor;
+the autograd ops give it the bits of the Tensor forward.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import attention as attn
-from .autograd import Tensor, concat, conv3d, conv_transpose3d, no_grad
+from .autograd import (Tensor, concat, conv3d, conv_transpose3d, data_of, is_grad_enabled,
+                       mean, narrow, no_grad, relu, sigmoid, tanh)
 from .checks import check_fields, rule
 from .voxel import VoxelGrid
 
@@ -264,102 +267,96 @@ def build_model(config: ModelConfig) -> MvpModel:
 # ---------------------------------------------------------------------------
 
 
-def _encode(model: MvpModel, tower: str, values: np.ndarray) -> Tensor:
+def _encode(p: dict, cfg: ModelConfig, tower: str, values: np.ndarray):
     """(L, r, r, r) frames -> (L, latent_dim) embeddings."""
-    cfg = model.config
-    x = Tensor(values[:, None])
+    x = values[:, None]
     for li in range(len(cfg.conv_channels)):
-        x = conv3d(x, model.params[f"{tower}.conv{li}"], ENC_STRIDE, ENC_PAD).relu()
+        x = relu(conv3d(x, p[f"{tower}.conv{li}"], ENC_STRIDE, ENC_PAD))
     flat = x.reshape(len(values), cfg.bottleneck_flat)
-    return (flat @ model.params[f"{tower}.dense.w"] + model.params[f"{tower}.dense.b"]).relu()
+    return relu(flat @ p[f"{tower}.dense.w"] + p[f"{tower}.dense.b"])
 
 
-def _decode(model: MvpModel, embedding: Tensor) -> Tensor:
+def _decode(p: dict, cfg: ModelConfig, embedding):
     """(L, latent_dim) embeddings -> (L, r, r, r) occupancy in (0, 1)."""
-    cfg = model.config
     n = embedding.shape[0]
-    z = (embedding @ model.params["dec.dense.w"] + model.params["dec.dense.b"]).relu()
+    z = relu(embedding @ p["dec.dense.w"] + p["dec.dense.b"])
     s = cfg.bottleneck_spatial
     x = z.reshape(n, cfg.conv_channels[-1], s, s, s)
     n_stages = len(cfg.conv_channels)
     for li in range(n_stages):
-        x = conv_transpose3d(x, model.params[f"dec.convt{li}"], DEC_STRIDE, DEC_PAD)
+        x = conv_transpose3d(x, p[f"dec.convt{li}"], DEC_STRIDE, DEC_PAD)
         if li < n_stages - 1:
-            x = x.relu()
-    x = x + model.params["dec.out_bias"]
+            x = relu(x)
+    x = x + p["dec.out_bias"]
     r = cfg.resolution
-    return x.sigmoid().reshape(n, r, r, r)
+    return sigmoid(x).reshape(n, r, r, r)
 
 
-def _rms_norm(x: Tensor, scale: Tensor) -> Tensor:
-    ms = (x * x).mean(axis=1, keepdims=True) + RMS_EPS
-    return x * ms.pow(-0.5) * scale
+def _rms_norm(x, scale):
+    ms = mean(x * x, axis=1, keepdims=True) + RMS_EPS
+    return x * ms ** -0.5 * scale
 
 
-def _mlp(model: MvpModel, l: int, x: Tensor) -> Tensor:
-    p = model.params
-    h = (x @ p[f"blk{l}.mlp.w1"] + p[f"blk{l}.mlp.b1"]).relu()
+def _mlp(p: dict, l: int, x):
+    h = relu(x @ p[f"blk{l}.mlp.w1"] + p[f"blk{l}.mlp.b1"])
     return h @ p[f"blk{l}.mlp.w2"] + p[f"blk{l}.mlp.b2"]
 
 
-def _lstm_cell(model: MvpModel, l: int, x: Tensor, h: Tensor, c: Tensor
-               ) -> tuple[Tensor, Tensor]:
-    p = model.params
-    d = model.config.latent_dim
+def _lstm_cell(p: dict, l: int, x, h, c) -> tuple:
+    d = h.shape[1]
     gates = x @ p[f"blk{l}.lstm.wx"] + h @ p[f"blk{l}.lstm.wh"] + p[f"blk{l}.lstm.b"]
-    i = gates.narrow(1, 0, d).sigmoid()
-    f = gates.narrow(1, d, d).sigmoid()
-    g = gates.narrow(1, 2 * d, d).tanh()
-    o = gates.narrow(1, 3 * d, d).sigmoid()
+    i = sigmoid(narrow(gates, 1, 0, d))
+    f = sigmoid(narrow(gates, 1, d, d))
+    g = tanh(narrow(gates, 1, 2 * d, d))
+    o = sigmoid(narrow(gates, 1, 3 * d, d))
     c_new = f * c + i * g
-    h_new = o * c_new.tanh()
+    h_new = o * tanh(c_new)
     return h_new, c_new
 
 
-def _lstm_rows(model: MvpModel, l: int, x: Tensor, carry: tuple) -> tuple[Tensor, tuple]:
+def _lstm_rows(p: dict, l: int, x, carry: tuple) -> tuple:
     """Hidden states of the row recurrence from ``carry``'s (h, c), and the
     (h, c) after the last row."""
-    h, c = (Tensor(a) for a in carry)
+    h, c = carry
     rows = []
     for i in range(x.shape[0]):
-        h, c = _lstm_cell(model, l, x.narrow(0, i, 1), h, c)
+        h, c = _lstm_cell(p, l, narrow(x, 0, i, 1), h, c)
         rows.append(h)
-    return concat(rows, axis=0), (h.data, c.data)
+    return concat(rows, axis=0), (data_of(h), data_of(c))
 
 
-def _mix(model: MvpModel, l: int, x: Tensor, layer: list) -> Tensor:
+def _mix(p: dict, cfg: ModelConfig, l: int, x, layer: list):
     """The sequence-mixing sublayer of block ``l``: the only part of the
     block stack that reads the state, replacing ``layer``'s slots."""
-    cfg = model.config
-    p = model.params
     if cfg.variant == "single_view":
-        return (x @ p[f"blk{l}.dense.w"] + p[f"blk{l}.dense.b"]).relu()
+        return relu(x @ p[f"blk{l}.dense.w"] + p[f"blk{l}.dense.b"])
     if cfg.variant == "lstm":
-        out, layer[0] = _lstm_rows(model, l, x, layer[0])
+        out, layer[0] = _lstm_rows(p, l, x, layer[0])
         return out
     q, k, v = (x @ p[f"blk{l}.w{name}"] for name in "qkv")
     hq, hv = cfg.head_qk_dim, cfg.head_value_dim
-    heads, layer[:] = zip(*(attn.attend(slot, q.narrow(1, h * hq, hq), k.narrow(1, h * hq, hq),
-                                        v.narrow(1, h * hv, hv), cfg.kernel)
+    heads, layer[:] = zip(*(attn.attend(slot, narrow(q, 1, h * hq, hq), narrow(k, 1, h * hq, hq),
+                                        narrow(v, 1, h * hv, hv), cfg.kernel)
                             for h, slot in enumerate(layer)))
     return concat(heads, axis=1) @ p[f"blk{l}.wo"]
 
 
-def _blocks(model: MvpModel, x: Tensor, state: SequenceState) -> Tensor:
+def _blocks(p: dict, cfg: ModelConfig, x, state: SequenceState):
     """The pre-normalized residual block stack over (L, latent_dim) tokens."""
-    p = model.params
-    for l in range(model.config.performer_layers):
-        x = x + _mix(model, l, _rms_norm(x, p[f"blk{l}.norm1.scale"]), state.layers[l])
-        x = x + _mlp(model, l, _rms_norm(x, p[f"blk{l}.norm2.scale"]))
+    for l in range(cfg.performer_layers):
+        x = x + _mix(p, cfg, l, _rms_norm(x, p[f"blk{l}.norm1.scale"]), state.layers[l])
+        x = x + _mlp(p, l, _rms_norm(x, p[f"blk{l}.norm2.scale"]))
     return x
 
 
-def _forward(model: MvpModel, values: np.ndarray, state: SequenceState) -> Tensor:
+def _forward(model: MvpModel, values: np.ndarray, state: SequenceState):
     """(L, r, r, r) predictions for the L frames that continue ``state``'s
-    sequence, which absorbs them."""
-    positions = sinusoidal_positions(state.frame_index, len(values), model.config.latent_dim)
-    tokens = _encode(model, "ctx", values) + Tensor(positions)
-    preds = _decode(model, _encode(model, "frame", values) + _blocks(model, tokens, state))
+    sequence, which absorbs them; an array, from ``p.data``, under ``no_grad``."""
+    cfg = model.config
+    p = model.params if is_grad_enabled() else {k: t.data for k, t in model.params.items()}
+    positions = sinusoidal_positions(state.frame_index, len(values), cfg.latent_dim)
+    tokens = _encode(p, cfg, "ctx", values) + positions
+    preds = _decode(p, cfg, _encode(p, cfg, "frame", values) + _blocks(p, cfg, tokens, state))
     state.frame_index += len(values)
     return preds
 
@@ -388,7 +385,8 @@ def sequence_predictions(model: MvpModel, frames: list) -> Tensor:
     state = model.init_state()
     passes = [_forward(model, np.stack(values[s : s + MAX_VIEWS]), state)
               for s in range(0, len(values), MAX_VIEWS)]
-    return concat(passes)
+    preds = concat(passes)
+    return preds if isinstance(preds, Tensor) else Tensor(preds)
 
 
 def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
@@ -405,7 +403,7 @@ def forward_step(model: MvpModel, state: SequenceState, frame: VoxelGrid
     state = replace(state, layers=[list(layer) for layer in state.layers])
     with no_grad():
         pred = _forward(model, frame.values[None], state)
-    return VoxelGrid(pred.data[0], frame.origin, frame.voxel_size), state
+    return VoxelGrid(pred[0], frame.origin, frame.voxel_size), state
 
 
 def bce_from_predictions(preds: Tensor, targets: list) -> Tensor:

@@ -18,7 +18,14 @@ from shapestream.autograd import (
     conv3d_output_shape,
     conv_transpose3d,
     conv_transpose3d_output_shape,
+    exp,
+    mean,
+    narrow,
     no_grad,
+    relu,
+    sigmoid,
+    tanh,
+    transpose,
 )
 
 RNG = np.random.default_rng
@@ -444,3 +451,79 @@ def test_determinism_same_inputs_bitwise():
     y1 = conv3d(Tensor(x1), Tensor(w1), 1, 1).data
     y2 = conv3d(Tensor(x2), Tensor(w2), 1, 1).data
     assert np.array_equal(y1, y2)
+
+
+# ---------------------------------------------------------------------------
+# the ops on plain arrays: a no-grad pass runs them, with the Tensor ops' bits
+# ---------------------------------------------------------------------------
+
+
+def test_ndarray_operand_defers_to_the_tensor():
+    """An ndarray on the left defers to the Tensor's reflected op, never
+    building an object array of Tensors."""
+    a, t = np.array([1.0, 2.0]), Tensor(np.array([4.0, 8.0]))
+    for out, want in [(np.ones(2) + Tensor(np.ones(2)), [2.0, 2.0]), (a - t, [-3.0, -6.0]),
+                      (a * t, [4.0, 16.0]), (a[None] @ Tensor(np.ones((2, 1))), [[3.0]])]:
+        assert isinstance(out, Tensor)
+        assert np.array_equal(out.data, want)
+
+
+def test_sigmoid_with_one_exp_equals_the_three_exp_formula_bitwise():
+    x = np.concatenate([RNG(30).standard_normal(4000) * 40.0,
+                        [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, 36.7, -36.7]])
+    ax = np.abs(x)
+    want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-ax)), np.exp(-ax) / (1.0 + np.exp(-ax)))
+    for got in (sigmoid(x), Tensor(x).sigmoid().data):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_plain_ops_equal_the_tensor_ops_bitwise():
+    """Each op on an array gives the Tensor op's bits; the transpose and a
+    partial narrow copy, and the mean multiplies by 1/count."""
+    x = RNG(31).standard_normal((5, 7))
+    for op in (relu, sigmoid, tanh, exp, transpose):
+        assert np.array_equal(op(x), op(Tensor(x)).data)
+        assert isinstance(op(Tensor(x)), Tensor)
+    t = transpose(x)
+    assert t.flags.c_contiguous and not np.shares_memory(t, x)
+    # x / 7 and x * (1/7) differ in some bits of these sums; the mean is the product
+    sums = x.sum(axis=1, keepdims=True)
+    assert not np.array_equal(sums / 7, sums * (1.0 / 7))
+    for args in [(), (1, True), (0, False)]:
+        assert np.array_equal(mean(x, *args), Tensor(x).mean(*args).data)
+    assert np.array_equal(mean(x, 1, True), sums * (1.0 / 7))
+    part = narrow(x, 1, 2, 3)
+    assert np.array_equal(part, Tensor(x).narrow(1, 2, 3).data)
+    assert not np.shares_memory(part, x)
+    assert narrow(x, 0, 0, 5) is x and concat([x]) is x
+
+
+@pytest.mark.parametrize("conv, x_shape, w_shape", [
+    (conv3d, (2, 2, 5, 5, 5), (3, 2, 3, 3, 3)),
+    (conv_transpose3d, (2, 3, 3, 3, 3), (3, 2, 4, 4, 4)),
+])
+def test_convs_on_arrays_match_the_tensor_path_and_keep_its_checks(conv, x_shape, w_shape):
+    """Both convs take arrays: the same bits and checks without a Tensor; one
+    Tensor operand takes the recording path."""
+    rng = RNG(32)
+    x, w = rng.standard_normal(x_shape), rng.standard_normal(w_shape)
+    plain = conv(x, w, stride=2, padding=1)
+    assert type(plain) is np.ndarray
+    assert np.array_equal(plain, conv(Tensor(x), Tensor(w), stride=2, padding=1).data)
+    with pytest.raises(ValueError, match="padding"):
+        conv(x, w, stride=2, padding=-1)
+    with pytest.raises(ValueError, match="cubic"):
+        conv(x, w[..., :2], stride=2, padding=1)
+    kernels = Tensor(w, requires_grad=True)
+    conv(x, kernels, stride=2, padding=1).sum().backward()
+    assert kernels.grad is not None
+
+
+def test_concat_of_arrays_is_plain_and_records_with_a_tensor_operand():
+    rng = RNG(33)
+    a, b = rng.standard_normal((2, 3)), Tensor(rng.standard_normal((1, 3)), requires_grad=True)
+    assert np.array_equal(concat([a, a], axis=0), np.concatenate([a, a]))
+    joined = concat([a, b])
+    assert isinstance(joined, Tensor) and joined.requires_grad
+    joined.sum().backward()
+    assert np.array_equal(b.grad, np.ones((1, 3)))

@@ -184,6 +184,46 @@ def test_streamed_blocks_of_frames_match_sequence_unroll(case, monkeypatch):
                                   streamed > OCCUPANCY_THRESHOLD)
 
 
+@pytest.mark.parametrize("variant", ["mvp", "mvt", "lstm", "single_view"])
+def test_no_grad_passes_build_no_tensor_but_the_one_returned(variant, monkeypatch):
+    """forward_step runs on the parameters' arrays; a no-grad
+    sequence_predictions wraps its predictions in one Tensor."""
+    model = build_model(tiny_config(variant, attention_heads=2))
+    values, _ = random_frames(3, seed=34)
+    built, init = [], Tensor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    state = model.init_state()
+    for frame in as_grids(values):
+        _, state = forward_step(model, state, frame)
+    assert len(built) == 0
+    with no_grad():
+        preds = sequence_predictions(model, values)
+    assert len(built) == 1 and isinstance(preds, Tensor)
+
+
+NO_GRAD_CASES = [dict(variant=v, kernel=k, attention_heads=h)
+                 for v in ("mvp", "mvt") for k in ("relu", "softmax") for h in (1, 2)]
+NO_GRAD_CASES += [dict(variant="lstm"), dict(variant="single_view")]
+
+
+@pytest.mark.parametrize("case", NO_GRAD_CASES,
+                         ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_no_grad_predictions_equal_grad_mode_bitwise(case, monkeypatch):
+    """The plain-array pass does the Tensor pass's float operations in its
+    order. A latent width of 12 makes the mean's 1/count inexact."""
+    monkeypatch.setattr(model_module, "MAX_VIEWS", 3)
+    model = build_model(tiny_config(latent_dim=12, **case))
+    values, _ = random_frames(5, seed=35)
+    with no_grad():
+        plain = sequence_predictions(model, values)
+    assert np.array_equal(plain.data, sequence_predictions(model, values).data)
+
+
 def test_non_finite_key_weight_rejected_memories_unmodified():
     model = build_model(tiny_config("mvp", attention_heads=2))
     model.params["blk0.wk"].data[0, 0] = np.nan
